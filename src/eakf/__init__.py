@@ -16,7 +16,7 @@ from .ensemble import (
     reconstruct_members,
 )
 from .linalg import (
-    DEFAULT_RANK_TOL,
+    RANK_TOL,
     OrderedEigen,
     SvdFactors,
     ordered_eig_psd,
@@ -36,7 +36,6 @@ from .update import (
     MODE_MISORDERED,
     AdjustmentMatrix,
     AnalysisResult,
-    ObsSpaceProjection,
     adjustment_matrix,
     analyze,
     kalman_gain,
@@ -50,14 +49,13 @@ __all__ = [
     "AdjustmentMatrix",
     "AnalysisResult",
     "ComparisonReport",
-    "DEFAULT_RANK_TOL",
     "ForecastEnsemble",
     "MODE_CORRECT",
     "MODE_MISORDERED",
-    "ObsSpaceProjection",
     "ObservationModel",
     "OrderedEigen",
     "PerturbationMatrix",
+    "RANK_TOL",
     "SvdFactors",
     "TwinConfig",
     "VerifyConfig",

@@ -34,12 +34,19 @@ def require_vector(a, name: str = "vector") -> np.ndarray:
 
 
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a))
+    """Frobenius norm of ``a``; raises ValueError if it does not fit in float64.
 
-
-def rel_frobenius(diff: np.ndarray, reference: np.ndarray) -> float:
-    """Frobenius norm of ``diff`` relative to ``reference``, zero-safe."""
-    return frobenius(diff) / max(frobenius(reference), REL_NORM_FLOOR)
+    Squares overflow once entries pass about 1e154, and a guard ``x > tol * inf``
+    then checks nothing, so only then is the norm recomputed on ``a`` scaled by
+    its largest entry (numpy's overflow warning is left unsuppressed).
+    """
+    norm = float(np.linalg.norm(a))
+    if norm == np.inf:
+        scale = float(np.max(np.abs(a)))
+        norm = scale * float(np.linalg.norm(a / scale))
+        if not np.isfinite(norm):
+            raise ValueError("Frobenius norm is not finite in float64")
+    return norm
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

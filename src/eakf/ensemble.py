@@ -8,7 +8,7 @@ per column. The scaled perturbation matrix divides member deviations by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,7 +38,7 @@ class ForecastEnsemble:
         if mean.shape != (n,):
             raise ValueError(f"mean length {mean.shape[0]} does not match state dimension {n}")
         actual = members.mean(axis=1)
-        if np.linalg.norm(mean - actual) > 1e-14 * max(frobenius(members), 1.0):
+        if frobenius(mean - actual) > 1e-14 * max(frobenius(members), 1.0):
             raise ValueError("mean is not the row-wise average of the members")
 
     @classmethod
@@ -74,7 +74,7 @@ class PerturbationMatrix:
         if arr.shape[1] != self.scale_members:
             raise ValueError("column count does not match scale_members")
         row_sums = arr.sum(axis=1)
-        if np.linalg.norm(row_sums) > 1e-13 * max(frobenius(arr), 1.0):
+        if frobenius(row_sums) > 1e-13 * max(frobenius(arr), 1.0):
             raise ValueError("perturbations not centered: rows must sum to zero")
 
     @property
@@ -91,13 +91,15 @@ class ObservationModel:
     """Observation operator (p, n), SPD error covariance (p, p), observation (p,).
 
     ``covariance`` may be given as a length-p vector of variances, which is
-    expanded to a diagonal matrix. Positive definiteness is validated by a
-    Cholesky factorization at construction.
+    expanded to a diagonal matrix. ``cholesky`` is the lower factor ``L`` of
+    ``R = L @ L.T``, computed once at construction (which validates positive
+    definiteness) and kept in Fortran order so triangular solves read it in place.
     """
 
     operator: np.ndarray
     covariance: np.ndarray
     observation: np.ndarray
+    cholesky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         operator = require_matrix(self.operator, "observation operator")
@@ -115,7 +117,7 @@ class ObservationModel:
             raise ValueError("observation error covariance not symmetric")
         cov = symmetrize(cov)
         try:
-            sla.cho_factor(cov, lower=True)
+            factor = sla.cholesky(cov, lower=True, check_finite=False)
         except sla.LinAlgError as exc:
             raise np.linalg.LinAlgError(
                 "observation error covariance R not positive definite"
@@ -123,6 +125,7 @@ class ObservationModel:
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "observation", observation)
+        object.__setattr__(self, "cholesky", np.asfortranarray(factor))
 
     @property
     def obs_dim(self) -> int:
@@ -164,7 +167,7 @@ def reconstruct_members(mean, perturbations, *, row_sum_tol: float = 1e-12) -> F
     if m < 2:
         raise ValueError("ensemble too small: need at least 2 members")
     row_sums = za.sum(axis=1)
-    if np.linalg.norm(row_sums) > row_sum_tol * max(frobenius(za), 1.0):
+    if frobenius(row_sums) > row_sum_tol * max(frobenius(za), 1.0):
         raise ValueError("perturbations not centered")
     members = mean_arr[:, None] + np.sqrt(m - 1) * za
     return ForecastEnsemble.from_members(members)

@@ -6,17 +6,20 @@ are enforced that general-purpose solvers do not guarantee:
 * the SVD of a rank-``r`` matrix must be returned in the shape
   ``(n, r) x (r, m) x (m, m)`` so the rectangular singular-value factor has a
   well defined Moore-Penrose pseudoinverse, and
-* the symmetric eigendecomposition used downstream must place eigenvectors
-  lying in the null space of the decomposed perturbation matrix in the
-  *trailing* columns of the eigenvector matrix.
+* the eigendecomposition of the observation-space matrix ``S = Y.T @ Y``
+  (``Y`` the whitened observed perturbations) must place eigenvectors lying
+  in the null space of the decomposed perturbation matrix in the *trailing*
+  columns of the eigenvector matrix.
 
 ``ordered_eig_psd`` enforces the second contract constructively: instead of
 sorting the output of a black-box eigensolver (which cannot distinguish a
-zero eigenvalue inside the row space from one in the null space), it
-eigendecomposes the input projected onto the row-space basis and appends the
-null-space basis as the trailing columns. The contract then holds even when
-the symmetric input has a larger null space than the perturbation matrix,
-e.g. for unobserved or partially observed ensembles.
+zero eigenvalue inside the row space from one in the null space), it takes
+the SVD of ``Y`` restricted to the row-space basis and appends the null-space
+basis as the trailing columns. The contract then holds even when ``S`` has a
+larger null space than the perturbation matrix, e.g. for unobserved or
+partially observed ensembles. ``S`` itself is never formed: its eigenvalues
+are the squared singular values of ``Y``, so they keep the accuracy of ``Y``
+instead of the squared conditioning of an explicit Gram matrix.
 """
 
 from __future__ import annotations
@@ -25,13 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import frobenius, require_matrix, symmetrize
+from ._arrays import frobenius, require_matrix
 
 # Relative rank threshold: sigma_i is retained iff
-# sigma_i > rank_tol * sigma_1 * max(n, m). The default matches the usual
-# numerical-rank convention (machine epsilon scale).
-DEFAULT_RANK_TOL = float(np.finfo(np.float64).eps)
+# sigma_i > RANK_TOL * sigma_1 * max(n, m), the usual numerical-rank
+# convention (machine epsilon scale).
+RANK_TOL = float(np.finfo(np.float64).eps)
 
+# Largest ||Y @ null_basis|| / ||Y|| accepted by ordered_eig_psd.
+_BASIS_TOL = 1e-8
 _ORTHO_TOL = 1e-10
 
 
@@ -93,17 +98,19 @@ class SvdFactors:
 
 @dataclass(frozen=True)
 class OrderedEigen:
-    """Eigendecomposition ``S = vectors @ diag(values) @ vectors.T``.
+    """Eigendecomposition ``S = vectors @ diag(values) @ vectors.T`` of ``S = Y.T @ Y``.
 
-    ``values`` is descending and clamped at zero. When produced by
-    :func:`ordered_eig_psd` the trailing columns of ``vectors`` are exactly
-    the supplied null-space basis, which is what the analysis update relies
-    on.
+    Read off the SVD ``Y = obs_vectors @ diag(sqrt(values[:k])) @ vectors[:, :k].T``
+    of the ``(p, m)`` factor ``Y``; ``values`` is descending, zero past ``k``.
+    When produced by :func:`ordered_eig_psd` the trailing columns of
+    ``vectors`` are exactly the supplied null-space basis, which is what the
+    analysis update relies on.
     """
 
     vectors: np.ndarray
     values: np.ndarray
     effective_rank: int
+    obs_vectors: np.ndarray
 
     def __post_init__(self):
         m = self.vectors.shape[0]
@@ -111,6 +118,8 @@ class OrderedEigen:
             raise ValueError("OrderedEigen: vectors must be square")
         if self.values.shape != (m,):
             raise ValueError("OrderedEigen: values length must match vectors")
+        if self.obs_vectors.ndim != 2 or self.obs_vectors.shape[1] > m:
+            raise ValueError("OrderedEigen: obs_vectors must have at most m columns")
         if np.any(self.values < 0.0):
             raise ValueError("OrderedEigen: values must be nonnegative")
         if np.any(np.diff(self.values) > 0.0):
@@ -120,16 +129,14 @@ class OrderedEigen:
         return (self.vectors * self.values) @ self.vectors.T
 
 
-def svd_full(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
+def svd_full(matrix) -> SvdFactors:
     """Rank-revealing SVD with a deterministic sign convention.
 
     Parameters
     ----------
     matrix : array_like, shape (n, m)
-        Dense input, all entries finite, both dimensions positive.
-    rank_tol : float
-        Relative rank threshold; singular values are retained iff
-        ``sigma > rank_tol * sigma_max * max(n, m)``.
+        Dense input, all entries finite, both dimensions positive. Singular
+        values are retained iff ``sigma > RANK_TOL * sigma_max * max(n, m)``.
 
     Returns
     -------
@@ -145,8 +152,11 @@ def svd_full(matrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
     n, m = arr.shape
     if n == 0 or m == 0:
         raise ValueError("svd_full: empty matrix")
-    u, s, vt = np.linalg.svd(arr, full_matrices=True)
-    threshold = rank_tol * float(s[0]) * max(n, m)
+    # The right factor must be the full (m, m) one; the full (n, n) left one
+    # is never needed, and a thin SVD already gives an (m, m) right factor
+    # when n >= m.
+    u, s, vt = np.linalg.svd(arr, full_matrices=n < m)
+    threshold = RANK_TOL * float(s[0]) * max(n, m)
     rank = int(np.count_nonzero(s > threshold))
 
     left = u[:, :rank].copy()
@@ -199,43 +209,32 @@ def pinv_rect_diag(sigma_rect) -> np.ndarray:
     return out
 
 
-def ordered_eig_psd(
-    sym,
-    row_space_basis,
-    null_basis,
-    *,
-    sym_tol: float = 1e-10,
-    basis_tol: float = 1e-8,
-) -> OrderedEigen:
-    """Eigendecomposition of a symmetric PSD matrix with ordered null vectors.
+def ordered_eig_psd(whitened, row_space_basis, null_basis) -> OrderedEigen:
+    """Eigendecomposition of ``S = whitened.T @ whitened`` with ordered null vectors.
 
     Parameters
     ----------
-    sym : array_like, shape (m, m)
-        Symmetric positive semidefinite matrix whose range is contained in
-        the span of ``row_space_basis`` (equivalently ``sym @ null_basis``
-        vanishes).
+    whitened : array_like, shape (p, m)
+        Factor ``Y`` of the symmetric PSD matrix ``S = Y.T @ Y``; ``Y`` must
+        vanish on ``null_basis`` (checked relative to ``||Y||``).
     row_space_basis : array_like, shape (m, r)
         Leading right singular vectors of the associated perturbation
         matrix.
     null_basis : array_like, shape (m, m - r)
         Trailing right singular vectors of the associated perturbation
         matrix; these become the trailing columns of the output verbatim.
-    sym_tol, basis_tol : float
-        Relative tolerances for the symmetry and basis-consistency checks.
 
     Returns
     -------
     OrderedEigen
-        ``vectors`` has the projected eigenvectors first (eigenvalues
-        descending, clamped at zero) and ``null_basis`` last, so the ordering
-        contract holds regardless of how many zero eigenvalues the projected
-        block contains.
+        With the SVD ``Y @ row_space_basis = U_W @ diag(s) @ Q_W.T``,
+        ``vectors`` is ``[row_space_basis @ Q_W, null_basis]``, ``values`` is
+        ``s**2`` padded with zeros and ``obs_vectors`` is ``U_W``. The
+        ordering contract holds regardless of how many zero eigenvalues the
+        row-space block contains, and ``S`` is never formed.
     """
-    s_arr = require_matrix(sym, "ordered_eig_psd input")
-    m = s_arr.shape[0]
-    if s_arr.shape != (m, m):
-        raise ValueError("ordered_eig_psd: input must be square")
+    y = require_matrix(whitened, "ordered_eig_psd input")
+    p, m = y.shape
     basis_r = require_matrix(row_space_basis, "row_space_basis")
     basis_n = require_matrix(null_basis, "null_basis")
     r = basis_r.shape[1]
@@ -243,27 +242,15 @@ def ordered_eig_psd(
         raise ValueError(
             "ordered_eig_psd: bases must partition the columns of an m x m orthogonal matrix"
         )
+    if frobenius(y @ basis_n) > _BASIS_TOL * frobenius(y):
+        raise ValueError("ordered_eig_psd: null basis inconsistent with the factor")
 
-    scale = frobenius(s_arr)
-    if frobenius(s_arr - s_arr.T) > sym_tol * max(scale, 1e-300):
-        raise ValueError("ordered_eig_psd: input not symmetric within tolerance")
-    if frobenius(s_arr @ basis_n) > basis_tol * max(scale, 1e-300):
-        raise ValueError("ordered_eig_psd: basis inconsistent with S")
-
-    if r:
-        projected = symmetrize(basis_r.T @ s_arr @ basis_r)
-        lam, q = np.linalg.eigh(projected)
-        order = np.argsort(-lam, kind="stable")
-        lam = np.maximum(lam[order], 0.0)
-        leading = basis_r @ q[:, order]
-    else:
-        lam = np.zeros(0)
-        leading = np.zeros((m, 0))
-
-    vectors = np.hstack([leading, basis_n])
-    values = np.concatenate([lam, np.zeros(m - r)])
+    # Q_W must be the full (r, r) factor; U_W may stay thin.
+    obs_vectors, sigma, qt = np.linalg.svd(y @ basis_r, full_matrices=p < r)
+    vectors = np.hstack([basis_r @ qt.T, basis_n])
+    values = np.concatenate([sigma**2, np.zeros(m - sigma.size)])
     if values.size and values[0] > 0.0:
-        eff = int(np.count_nonzero(values > DEFAULT_RANK_TOL * values[0] * m))
+        eff = int(np.count_nonzero(values > RANK_TOL * values[0] * m))
     else:
         eff = 0
-    return OrderedEigen(vectors=vectors, values=values, effective_rank=eff)
+    return OrderedEigen(vectors=vectors, values=values, effective_rank=eff, obs_vectors=obs_vectors)

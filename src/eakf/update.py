@@ -1,18 +1,27 @@
-"""Deterministic ensemble adjustment analysis step.
+"""Deterministic ensemble adjustment analysis step, in ensemble space.
 
 The filter updates the scaled perturbation matrix ``Z`` (shape ``(n, m)``,
-``P_f = Z @ Z.T``) with a linear adjustment ``Za = A @ Z`` chosen so that the
-analysis covariance ``Za @ Za.T`` equals the Kalman posterior
+``P_f = Z @ Z.T``) so that the analysis covariance ``Za @ Za.T`` equals the
+Kalman posterior
 
     P_a = (I - K H) P_f,    K = P_f H.T inv(H P_f H.T + R)
 
-exactly, not just in expectation. With the rank-revealing SVD
+exactly, not just in expectation. The paper writes the update as ``Za = A @ Z``
+with an ``(n, n)`` adjustment ``A``. With the rank-revealing SVD
 ``Z = left @ sig @ right.T`` (``left`` is ``(n, r)``, ``sig`` is ``(r, m)``
 rectangular diagonal, ``right`` is ``(m, m)``) and the ordered
-eigendecomposition ``S = C @ diag(g) @ C.T`` of the whitened observation-space
-Gram matrix ``S = V inv(R) V.T``, ``V = (H Z).T``, the adjustment is
+eigendecomposition ``S = C @ diag(g) @ C.T`` of the observation-space matrix
+``S = Z.T H.T inv(R) H Z``,
 
     A = Z @ C @ diag(1 / sqrt(1 + g)) @ pinv(sig) @ left.T
+
+and since ``left.T @ left = I``, ``A @ Z = Z @ T`` with the ``(m, m)`` transform
+
+    T = C @ diag(1 / sqrt(1 + g)) @ pinv(sig) @ sig @ right.T
+
+which is all this module forms. ``S = Y.T @ Y`` is not formed either: ``g``
+and ``C`` come from an SVD of the whitened ``Y = inv(L) H Z`` (``R = L L.T``,
+factored once by the observation model), and so does the Kalman gain.
 
 Two implementation details decide whether this is exact or silently wrong:
 
@@ -22,15 +31,15 @@ Two implementation details decide whether this is exact or silently wrong:
   perturbations annihilate the ones vector, so ``rank(Z) <= min(n, m - 1)``
   always; no compute path for the square-inverse form exists here.
 
-* Multiplying out ``A @ Z`` shows that ``pinv(sig) @ sig`` truncates the
-  trailing ``m - r`` columns of ``Z @ C @ diag(1/sqrt(1+g))``. That is
-  harmless exactly when those columns of ``C`` lie in the null space of
-  ``Z``, i.e. when the null-space eigenvectors are ordered last. If an
-  eigensolver scatters them elsewhere, the truncation zeroes live columns
-  instead and the analysis ensemble loses variance it should have kept.
-  ``mode="misordered"`` reproduces that failure on purpose (seeded, for
-  demonstrations and negative tests); ``mode="correct"`` uses
-  :func:`eakf.linalg.ordered_eig_psd`, which guarantees the ordering.
+* ``pinv(sig) @ sig`` truncates the trailing ``m - r`` columns of
+  ``Z @ C @ diag(1/sqrt(1+g))``. That is harmless exactly when those columns
+  of ``C`` lie in the null space of ``Z``, i.e. when the null-space
+  eigenvectors are ordered last. If an eigensolver scatters them elsewhere,
+  the truncation zeroes live columns instead and the analysis ensemble loses
+  variance it should have kept. ``mode="misordered"`` reproduces that
+  failure on purpose (seeded, for demonstrations and negative tests);
+  ``mode="correct"`` uses :func:`eakf.linalg.ordered_eig_psd`, which
+  guarantees the ordering.
 """
 
 from __future__ import annotations
@@ -40,38 +49,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from ._arrays import frobenius, symmetrize
+from ._arrays import frobenius
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
-from .linalg import DEFAULT_RANK_TOL, OrderedEigen, SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
+from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
 
 MODE_CORRECT = "correct"
 MODE_MISORDERED = "misordered"
 
 
 @dataclass(frozen=True)
-class ObsSpaceProjection:
-    """Observation-space image of the perturbations.
-
-    ``observed`` is ``(H Z).T`` with shape ``(m, p)``; ``gram`` is the
-    symmetric PSD matrix ``observed @ inv(R) @ observed.T`` of shape
-    ``(m, m)``, equal to ``Z.T H.T inv(R) H Z``.
-    """
-
-    observed: np.ndarray
-    gram: np.ndarray
-
-
-@dataclass(frozen=True)
 class AdjustmentMatrix:
-    """Adjustment ``A`` with the decompositions it was assembled from.
+    """Ensemble-space transform ``T`` with the decompositions it was assembled from.
 
-    The defining contract is that ``(A @ Z) @ (A @ Z).T`` matches the exact
-    Kalman posterior covariance (checked against :mod:`eakf.oracle` in the
-    test suite). ``permutation`` records the column shuffle applied in
-    misordered mode, ``None`` in correct mode.
+    ``Z @ transform`` is the paper's ``A @ Z``. The defining contract is that
+    ``(Z @ T) @ (Z @ T).T`` matches the exact Kalman posterior covariance
+    (checked against :mod:`eakf.oracle` in the test suite). ``permutation``
+    records the column shuffle applied in misordered mode, ``None`` in
+    correct mode.
     """
 
-    matrix: np.ndarray
+    transform: np.ndarray
     svd: SvdFactors
     eig: OrderedEigen
     mode: str
@@ -90,7 +87,7 @@ class AnalysisResult:
     def __post_init__(self):
         za = self.perturbations
         row_sums = za.sum(axis=1)
-        if np.linalg.norm(row_sums) > 1e-12 * max(frobenius(za), 1.0):
+        if frobenius(row_sums) > 1e-12 * max(frobenius(za), 1.0):
             raise ValueError("analysis perturbation rows must sum to zero")
 
     def members(self) -> np.ndarray:
@@ -99,39 +96,36 @@ class AnalysisResult:
         return self.mean[:, None] + np.sqrt(m - 1) * self.perturbations
 
 
-def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> ObsSpaceProjection:
-    """Form ``V = (H Z).T`` and the whitened Gram matrix ``V inv(R) V.T``.
+def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.ndarray:
+    """Whitened observed perturbations ``Y = inv(L) H Z``, shape ``(p, m)``.
 
-    The inverse of R is never formed; the product is computed through the
-    Cholesky factorization of R and the result is symmetrized.
+    ``L`` is the Cholesky factor the observation model holds (``R = L L.T``),
+    so ``Y.T @ Y = Z.T H.T inv(R) H Z``; neither ``inv(R)`` nor that product
+    is formed.
     """
     if obs.state_dim != pert.state_dim:
         raise ValueError(
             f"observation operator has {obs.state_dim} state columns, "
             f"expected {pert.state_dim}"
         )
-    observed = (obs.operator @ pert.matrix).T
-    factor = sla.cho_factor(obs.covariance, lower=True)
-    gram = symmetrize(observed @ sla.cho_solve(factor, observed.T))
-    return ObsSpaceProjection(observed=observed, gram=gram)
+    return sla.solve_triangular(obs.cholesky, obs.operator @ pert.matrix, lower=True, check_finite=False)
 
 
-def kalman_gain(pert: PerturbationMatrix, obs: ObservationModel) -> np.ndarray:
-    """Kalman gain ``P_f H.T inv(H P_f H.T + R)`` via an SPD solve."""
-    if obs.state_dim != pert.state_dim:
-        raise ValueError(
-            f"observation operator has {obs.state_dim} state columns, "
-            f"expected {pert.state_dim}"
-        )
-    z = pert.matrix
-    hz = obs.operator @ z
-    innovation_cov = symmetrize(hz @ hz.T + obs.covariance)
-    try:
-        factor = sla.cho_factor(innovation_cov, lower=True)
-    except sla.LinAlgError as exc:
-        raise np.linalg.LinAlgError("innovation covariance not positive definite") from exc
-    # K.T = inv(H P_f H.T + R) @ (H Z) @ Z.T
-    return sla.cho_solve(factor, hz @ z.T).T
+def kalman_gain(pert: PerturbationMatrix, obs: ObservationModel, eig: OrderedEigen) -> np.ndarray:
+    """Kalman gain ``P_f H.T inv(H P_f H.T + R)`` from the analysis factors.
+
+    ``eig`` is the :func:`eakf.linalg.ordered_eig_psd` result for
+    ``Y = project_observations(pert, obs)``. With
+    ``Y = U_W diag(s) C[:, :k].T`` the gain is
+    ``Z C[:, :k] diag(s / (1 + s**2)) U_W.T inv(L)``: one triangular solve
+    with ``(p, k)`` right-hand sides, no ``(p, p)`` system.
+    """
+    k = eig.obs_vectors.shape[1]
+    g = eig.values[:k]
+    weights = eig.obs_vectors * (np.sqrt(g) / (1.0 + g))
+    # (U_W D).T inv(L) = (inv(L).T U_W D).T
+    whitened = sla.solve_triangular(obs.cholesky, weights, lower=True, trans="T", check_finite=False)
+    return (pert.matrix @ eig.vectors[:, :k]) @ whitened.T
 
 
 def _displacing_permutation(rng: np.random.Generator, rank: int, m: int) -> np.ndarray:
@@ -155,9 +149,8 @@ def adjustment_matrix(
     mode: str = MODE_CORRECT,
     *,
     seed: int | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> AdjustmentMatrix:
-    """Assemble the ensemble adjustment matrix.
+    """Assemble the ensemble-space transform ``T`` (``Z @ T`` is ``A @ Z``).
 
     Parameters
     ----------
@@ -171,20 +164,18 @@ def adjustment_matrix(
         demonstrations and negative tests.
     seed : int, optional
         Required for ``"misordered"``; ignored otherwise.
-    rank_tol : float
-        Rank threshold forwarded to :func:`eakf.linalg.svd_full`.
 
     Notes
     -----
-    A zero-spread ensemble (numerical rank 0) yields the zero adjustment:
+    A zero-spread ensemble (numerical rank 0) yields the zero transform:
     the empty pseudoinverse factors make the product vanish, which is the
     correct limit since a zero forecast covariance forces a zero posterior.
     """
     if mode not in (MODE_CORRECT, MODE_MISORDERED):
         raise ValueError(f"unknown mode {mode!r}")
-    factors = svd_full(pert.matrix, rank_tol)
-    proj = project_observations(pert, obs)
-    eig = ordered_eig_psd(proj.gram, factors.row_space_basis(), factors.null_space_basis())
+    factors = svd_full(pert.matrix)
+    whitened = project_observations(pert, obs)
+    eig = ordered_eig_psd(whitened, factors.row_space_basis(), factors.null_space_basis())
 
     vectors = eig.vectors
     values = eig.values
@@ -197,10 +188,10 @@ def adjustment_matrix(
         vectors = vectors[:, permutation]
         values = values[permutation]
 
-    scaled_vectors = vectors / np.sqrt(1.0 + values)[None, :]
-    matrix = pert.matrix @ scaled_vectors @ pinv_rect_diag(factors.sigma_rect) @ factors.left.T
+    truncation = pinv_rect_diag(factors.sigma_rect) @ factors.sigma_rect
+    transform = (vectors / np.sqrt(1.0 + values)) @ truncation @ factors.right.T
     return AdjustmentMatrix(
-        matrix=matrix, svd=factors, eig=eig, mode=mode, permutation=permutation
+        transform=transform, svd=factors, eig=eig, mode=mode, permutation=permutation
     )
 
 
@@ -210,26 +201,23 @@ def analyze(
     mode: str = MODE_CORRECT,
     *,
     seed: int | None = None,
-    rank_tol: float = DEFAULT_RANK_TOL,
 ) -> AnalysisResult:
-    """Run one analysis step: adjusted perturbations plus the gain-based mean.
+    """Run one analysis step: transformed perturbations plus the gain-based mean.
 
     The perturbation update only constrains the covariance; the analysis
-    mean follows the standard Kalman formula
-    ``mean + K (y - H mean)`` with the gain of :func:`kalman_gain`.
+    mean follows the standard Kalman formula ``mean + K (y - H mean)`` with
+    the gain of :func:`kalman_gain`, built from the same factors as the
+    transform (so in misordered mode too the mean is the exact Kalman mean).
     """
     pert = perturbation_matrix(ens)
-    adj = adjustment_matrix(pert, obs, mode, seed=seed, rank_tol=rank_tol)
-    gain = kalman_gain(pert, obs)
+    adj = adjustment_matrix(pert, obs, mode, seed=seed)
+    gain = kalman_gain(pert, obs, adj.eig)
     innovation = obs.observation - obs.operator @ ens.mean
     mean_a = ens.mean + gain @ innovation
-    za = adj.matrix @ pert.matrix
-    # A @ Z annihilates the ones vector in exact arithmetic; remove the
+    za = pert.matrix @ adj.transform
+    # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
-    za = za - za.mean(axis=1, keepdims=True)
-    return AnalysisResult(
-        mean=mean_a,
-        perturbations=za,
-        covariance=symmetrize(za @ za.T),
-        gain=gain,
-    )
+    za -= za.mean(axis=1, keepdims=True)
+    # numpy evaluates a @ a.T as a symmetric rank-k update, so the product
+    # is exactly symmetric without a symmetrizing copy of an (n, n) array.
+    return AnalysisResult(mean=mean_a, perturbations=za, covariance=za @ za.T, gain=gain)

@@ -21,7 +21,7 @@ from eakf.oracle import (
     posterior_cov_woodbury,
 )
 from eakf.twin import TwinConfig, run_twin
-from eakf.update import MODE_CORRECT, MODE_MISORDERED, adjustment_matrix, analyze
+from eakf.update import MODE_CORRECT, MODE_MISORDERED, adjustment_matrix, analyze, project_observations
 
 SWEEP_TRIALS = 1000
 CONSISTENCY_TOL = 1e-10
@@ -117,7 +117,7 @@ def test_criterion_3_pitfall_reproduction():
         if not displaced:
             continue
         displaced_count += 1
-        za = adj.matrix @ ipert.matrix
+        za = ipert.matrix @ adj.transform
         ioracle = posterior_cov_direct(forecast_cov(ipert), inst.observation)
         deficit = float(np.trace(ioracle) - np.trace(za @ za.T))
         if deficit <= 0.0:
@@ -201,7 +201,8 @@ def test_criterion_6_structural_invariants(tmp_path):
             gram = (inst.observation.operator @ pert.matrix).T
             s = gram @ np.linalg.solve(inst.observation.covariance, gram.T)
             s = 0.5 * (s + s.T)
-            eig = ordered_eig_psd(s, f.row_space_basis(), f.null_space_basis())
+            whitened = project_observations(pert, inst.observation)
+            eig = ordered_eig_psd(whitened, f.row_space_basis(), f.null_space_basis())
             eig_rel = np.linalg.norm(eig.reconstruct() - s) / max(np.linalg.norm(s), 1e-300)
             eig_worst = max(eig_worst, eig_rel)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eakf._arrays import frobenius
 from eakf.ensemble import (
     ForecastEnsemble,
     ObservationModel,
@@ -54,6 +55,16 @@ def test_ensemble_mean_mismatch():
 def test_perturbation_rejects_uncentered():
     with pytest.raises(ValueError, match="centered"):
         PerturbationMatrix(matrix=np.array([[1.0, 1.0]]), scale_members=2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_guards_hold_near_overflow():
+    # squares of entries near 1e200 overflow; the norms in the guards must not
+    assert frobenius(np.full(4, 1e200)) == pytest.approx(2e200, rel=1e-15)
+    with pytest.raises(ValueError, match="centered"):
+        PerturbationMatrix(matrix=np.array([[1e200, 1e200]]), scale_members=2)
+    with pytest.raises(ValueError, match="average"):
+        ForecastEnsemble(members=np.array([[1e200, -1e200]]), mean=np.array([1e200]))
 
 
 def test_forecast_cov_examples():

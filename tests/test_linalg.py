@@ -125,12 +125,14 @@ def test_pinv_errors():
 
 
 def test_ordered_eig_two_member_example():
-    # S = (1/2) [[1,-1],[-1,1]] paired with Z = [1,-1]: one unit eigenvalue in
-    # the row space, and the (1,1)/sqrt(2) null vector must come last.
+    # S = Y.T Y = (1/2) [[1,-1],[-1,1]] paired with Z = [1,-1]: one unit
+    # eigenvalue in the row space, and the (1,1)/sqrt(2) null vector must
+    # come last.
     z = np.array([[1.0, -1.0]])
-    s = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    y = z / np.sqrt(2.0)
+    s = y.T @ y
     f = svd_full(z)
-    eig = ordered_eig_psd(s, f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(y, f.row_space_basis(), f.null_space_basis())
     np.testing.assert_allclose(eig.values, [1.0, 0.0], atol=1e-14)
     lead = eig.vectors[:, 0]
     np.testing.assert_allclose(np.abs(lead), np.abs(np.array([1.0, -1.0]) / np.sqrt(2.0)))
@@ -145,7 +147,7 @@ def test_ordered_eig_zero_matrix():
     z = rng.standard_normal((3, 5))
     z -= z.mean(axis=1, keepdims=True)
     f = svd_full(z)
-    eig = ordered_eig_psd(np.zeros((5, 5)), f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(np.zeros((2, 5)), f.row_space_basis(), f.null_space_basis())
     np.testing.assert_array_equal(eig.values, np.zeros(5))
     # trailing columns are the null basis verbatim
     np.testing.assert_array_equal(eig.vectors[:, f.rank :], f.null_space_basis())
@@ -153,13 +155,14 @@ def test_ordered_eig_zero_matrix():
 
 
 def test_ordered_eig_rank_gap_example():
-    # S has a 2-dimensional null space but Z only a 1-dimensional one; the
-    # trailing column must still span null(Z) = span(1,1,1).
+    # S = Y.T Y has a 2-dimensional null space but Z only a 1-dimensional
+    # one; the trailing column must still span null(Z) = span(1,1,1).
     z = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]) / np.sqrt(2.0)
+    y = z[:1]
     s = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     f = svd_full(z)
     assert f.rank == 2
-    eig = ordered_eig_psd(s, f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(y, f.row_space_basis(), f.null_space_basis())
     np.testing.assert_allclose(eig.values, [1.0, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(eig.reconstruct(), s, atol=1e-14)
     trailing = eig.vectors[:, 2]
@@ -169,8 +172,9 @@ def test_ordered_eig_rank_gap_example():
 
 @pytest.mark.parametrize("seed", range(12))
 def test_ordered_eig_random_property(seed):
-    # S built as Z.T H.T inv(R) H Z (the production shape): reconstruction and
-    # the null-alignment contract both hold at 1e-10 relative.
+    # Y = inv(L) H Z with R = L L.T (the production shape): S = Y.T Y is
+    # rebuilt as Z.T H.T inv(R) H Z, and reconstruction and the
+    # null-alignment contract both hold at 1e-10 relative.
     rng = np.random.default_rng(seed)
     n, m, p = rng.integers(1, 9), rng.integers(2, 9), rng.integers(1, 6)
     z = rng.standard_normal((n, m))
@@ -181,8 +185,9 @@ def test_ordered_eig_random_property(seed):
     hz = h @ z
     s = hz.T @ np.linalg.inv(r) @ hz
     s = 0.5 * (s + s.T)
+    y = np.linalg.solve(np.linalg.cholesky(r), hz)
     f = svd_full(z)
-    eig = ordered_eig_psd(s, f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(y, f.row_space_basis(), f.null_space_basis())
     s_scale = max(np.linalg.norm(s), 1e-300)
     assert np.linalg.norm(eig.reconstruct() - s) <= 1e-10 * s_scale
     trailing = eig.vectors[:, f.rank :]
@@ -190,17 +195,22 @@ def test_ordered_eig_random_property(seed):
     assert np.all(np.diff(eig.values) <= 0.0)
     assert np.all(eig.values >= 0.0)
     np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(m), atol=1e-12)
+    k = eig.obs_vectors.shape[1]
+    assert k == min(p, f.rank)
+    np.testing.assert_allclose(eig.obs_vectors.T @ eig.obs_vectors, np.eye(k), atol=1e-12)
+    # Y = obs_vectors diag(sqrt(values[:k])) vectors[:, :k].T
+    rebuilt = (eig.obs_vectors * np.sqrt(eig.values[:k])) @ eig.vectors[:, :k].T
+    assert np.linalg.norm(rebuilt - y) <= 1e-10 * max(np.linalg.norm(y), 1e-300)
 
 
 def test_ordered_eig_errors():
     z = np.array([[1.0, -1.0]])
     f = svd_full(z)
-    asym = np.array([[0.5, 0.4], [-0.5, 0.5]])
-    with pytest.raises(ValueError, match="symmetric"):
-        ordered_eig_psd(asym, f.row_space_basis(), f.null_space_basis())
-    s = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    # swapping the bases hands ordered_eig_psd a "null" vector S does not kill
-    with pytest.raises(ValueError, match="basis inconsistent with S"):
-        ordered_eig_psd(s, f.null_space_basis(), f.row_space_basis())
+    y = z / np.sqrt(2.0)
+    # swapping the bases hands ordered_eig_psd a "null" vector Y does not kill
+    with pytest.raises(ValueError, match="basis inconsistent with the factor"):
+        ordered_eig_psd(y, f.null_space_basis(), f.row_space_basis())
     with pytest.raises(ValueError, match="partition"):
-        ordered_eig_psd(s, f.row_space_basis(), np.eye(2))
+        ordered_eig_psd(y, f.row_space_basis(), np.eye(2))
+    with pytest.raises(ValueError, match="2-D"):
+        ordered_eig_psd(y[0], f.row_space_basis(), f.null_space_basis())

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,36 +34,35 @@ def three_member_case():
 
 def test_project_observations_scalar():
     ens, obs = scalar_case()
-    proj = project_observations(perturbation_matrix(ens), obs)
-    np.testing.assert_allclose(proj.observed, [[1.0], [-1.0]])
-    np.testing.assert_allclose(proj.gram, 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+    y = project_observations(perturbation_matrix(ens), obs)
+    np.testing.assert_allclose(y, [[1.0, -1.0]] / np.sqrt(2.0))
+    np.testing.assert_allclose(y.T @ y, 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
 
 def test_project_observations_zero_operator():
     ens, _ = three_member_case()
     obs = ObservationModel(operator=np.zeros((1, 2)), covariance=[[1.0]], observation=[0.0])
-    proj = project_observations(perturbation_matrix(ens), obs)
-    np.testing.assert_array_equal(proj.observed, np.zeros((3, 1)))
-    np.testing.assert_array_equal(proj.gram, np.zeros((3, 3)))
+    y = project_observations(perturbation_matrix(ens), obs)
+    np.testing.assert_array_equal(y, np.zeros((1, 3)))
 
 
 def test_project_observations_three_members():
     ens, obs = three_member_case()
-    proj = project_observations(perturbation_matrix(ens), obs)
+    y = project_observations(perturbation_matrix(ens), obs)
     expected = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    np.testing.assert_allclose(proj.gram, expected, atol=1e-15)
+    np.testing.assert_allclose(y.T @ y, expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_project_observations_identity(seed):
-    # algebraic identity: gram == Z.T H.T inv(R) H Z, checked with an
+    # algebraic identity: Y.T Y == Z.T H.T inv(R) H Z, checked with an
     # explicit inverse (small instances only)
     inst = random_instance(seed, "generic", n_range=(1, 6), m_range=(2, 6), p_range=(1, 6))
     pert = perturbation_matrix(inst.ensemble)
-    proj = project_observations(pert, inst.observation)
+    y = project_observations(pert, inst.observation)
     h, r = inst.observation.operator, inst.observation.covariance
     explicit = pert.matrix.T @ h.T @ np.linalg.inv(r) @ h @ pert.matrix
-    np.testing.assert_allclose(proj.gram, explicit, rtol=0, atol=1e-11 * max(1.0, np.linalg.norm(explicit)))
+    np.testing.assert_allclose(y.T @ y, explicit, rtol=0, atol=1e-11 * max(1.0, np.linalg.norm(explicit)))
 
 
 def test_project_observations_shape_mismatch():
@@ -74,21 +75,27 @@ def test_project_observations_shape_mismatch():
 # ---------------------------------------------------------------------- gain
 
 
+def gain(pert, obs):
+    f = svd_full(pert.matrix)
+    eig = ordered_eig_psd(project_observations(pert, obs), f.row_space_basis(), f.null_space_basis())
+    return kalman_gain(pert, obs, eig)
+
+
 def test_kalman_gain_scalar():
     ens, obs = scalar_case()
-    np.testing.assert_allclose(kalman_gain(perturbation_matrix(ens), obs), [[0.5]])
+    np.testing.assert_allclose(gain(perturbation_matrix(ens), obs), [[0.5]])
 
 
 def test_kalman_gain_zero_operator():
     ens, _ = three_member_case()
     obs = ObservationModel(operator=np.zeros((1, 2)), covariance=[[1.0]], observation=[0.0])
-    np.testing.assert_array_equal(kalman_gain(perturbation_matrix(ens), obs), np.zeros((2, 1)))
+    np.testing.assert_array_equal(gain(perturbation_matrix(ens), obs), np.zeros((2, 1)))
 
 
 def test_kalman_gain_three_members():
     ens, obs = three_member_case()
     np.testing.assert_allclose(
-        kalman_gain(perturbation_matrix(ens), obs), [[0.5], [-0.25]], atol=1e-15
+        gain(perturbation_matrix(ens), obs), [[0.5], [-0.25]], atol=1e-15
     )
 
 
@@ -97,9 +104,11 @@ def test_kalman_gain_three_members():
 
 def test_adjustment_scalar_value():
     ens, obs = scalar_case()
-    adj = adjustment_matrix(perturbation_matrix(ens), obs)
-    np.testing.assert_allclose(adj.matrix, [[1.0 / np.sqrt(2.0)]], rtol=1e-14)
-    za = adj.matrix @ perturbation_matrix(ens).matrix
+    pert = perturbation_matrix(ens)
+    adj = adjustment_matrix(pert, obs)
+    # the paper's adjustment is A = 1/sqrt(2), so Z T = A Z
+    za = pert.matrix @ adj.transform
+    np.testing.assert_allclose(za, pert.matrix / np.sqrt(2.0), rtol=1e-14)
     np.testing.assert_allclose(za @ za.T, [[1.0]], rtol=1e-14)
 
 
@@ -108,7 +117,7 @@ def test_adjustment_zero_operator_preserves_cov():
     obs = ObservationModel(operator=np.zeros((1, 2)), covariance=[[1.0]], observation=[0.0])
     pert = perturbation_matrix(ens)
     adj = adjustment_matrix(pert, obs)
-    za = adj.matrix @ pert.matrix
+    za = pert.matrix @ adj.transform
     np.testing.assert_allclose(za @ za.T, forecast_cov(pert), atol=1e-14)
 
 
@@ -117,7 +126,7 @@ def test_adjustment_zero_spread():
     obs = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
     adj = adjustment_matrix(perturbation_matrix(ens), obs)
     assert adj.svd.rank == 0
-    np.testing.assert_array_equal(adj.matrix, np.zeros((2, 2)))
+    np.testing.assert_array_equal(adj.transform, np.zeros((3, 3)))
 
 
 def test_adjustment_misordered_scalar_kills_variance():
@@ -125,7 +134,7 @@ def test_adjustment_misordered_scalar_kills_variance():
     pert = perturbation_matrix(ens)
     adj = adjustment_matrix(pert, obs, MODE_MISORDERED, seed=0)
     np.testing.assert_array_equal(adj.permutation, [1, 0])
-    za = adj.matrix @ pert.matrix
+    za = pert.matrix @ adj.transform
     assert abs(np.trace(za @ za.T)) <= 1e-12
     # trace deficit of 1 against the oracle posterior
     oracle = posterior_cov_direct(forecast_cov(pert), obs)
@@ -149,7 +158,7 @@ def test_adjustment_misordered_zero_spread_is_noop():
     obs = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
     adj = adjustment_matrix(perturbation_matrix(ens), obs, MODE_MISORDERED, seed=5)
     np.testing.assert_array_equal(adj.permutation, np.arange(4))
-    np.testing.assert_array_equal(adj.matrix, np.zeros((2, 2)))
+    np.testing.assert_array_equal(adj.transform, np.zeros((4, 4)))
 
 
 def test_adjustment_mode_errors():
@@ -207,6 +216,28 @@ def test_analyze_row_sums():
         assert np.linalg.norm(za.sum(axis=1)) <= 1e-12 * max(np.linalg.norm(za), 1.0)
 
 
+@pytest.mark.parametrize("n, m, p", [(2000, 20, 200), (200, 20, 2000)])
+def test_analyze_peak_memory(n, m, p):
+    # the covariance (n x n) and the gain (n x p) are the only large arrays
+    # analyze forms: no n x n factor or adjustment, no p x p system, and no
+    # copy of the model's Cholesky factor
+    rng = np.random.default_rng(0)
+    ens = ForecastEnsemble.from_members(rng.standard_normal((n, m)))
+    obs = ObservationModel(
+        operator=rng.standard_normal((p, n)) / np.sqrt(n),
+        covariance=rng.uniform(0.5, 2.0, p),
+        observation=rng.standard_normal(p),
+    )
+    tracemalloc.start()
+    try:
+        res = analyze(ens, obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (res.covariance.nbytes + res.gain.nbytes), peak
+    np.testing.assert_array_equal(res.covariance, res.covariance.T)
+
+
 def test_analyze_deterministic():
     inst = random_instance(123, "generic")
     a = analyze(inst.ensemble, inst.observation)
@@ -230,8 +261,8 @@ def test_truncation_identity():
         if not pert.matrix.any():
             continue
         f = svd_full(pert.matrix)
-        proj = project_observations(pert, inst.observation)
-        eig = ordered_eig_psd(proj.gram, f.row_space_basis(), f.null_space_basis())
+        y = project_observations(pert, inst.observation)
+        eig = ordered_eig_psd(y, f.row_space_basis(), f.null_space_basis())
         scaled = pert.matrix @ (eig.vectors / np.sqrt(1.0 + eig.values)[None, :])
         truncation = pinv_rect_diag(f.sigma_rect) @ f.sigma_rect
         np.testing.assert_allclose(
@@ -263,7 +294,7 @@ def test_sign_convention_invariance_of_posterior():
     for seed in range(8):
         inst = random_instance(seed, "generic")
         pert = perturbation_matrix(inst.ensemble)
-        proj = project_observations(pert, inst.observation)
+        y = project_observations(pert, inst.observation)
         f = svd_full(pert.matrix)
         if f.rank == 0:
             continue
@@ -280,12 +311,10 @@ def test_sign_convention_invariance_of_posterior():
         flipped = SvdFactors(left=left, sigma_rect=f.sigma_rect, right=right, rank=f.rank)
 
         def posterior(factors):
-            eig = ordered_eig_psd(
-                proj.gram, factors.row_space_basis(), factors.null_space_basis()
-            )
+            eig = ordered_eig_psd(y, factors.row_space_basis(), factors.null_space_basis())
             scaled = eig.vectors / np.sqrt(1.0 + eig.values)[None, :]
-            a = pert.matrix @ scaled @ pinv_rect_diag(factors.sigma_rect) @ factors.left.T
-            za = a @ pert.matrix
+            t = scaled @ pinv_rect_diag(factors.sigma_rect) @ factors.sigma_rect @ factors.right.T
+            za = pert.matrix @ t
             return za @ za.T
 
         base = posterior(f)
