@@ -88,12 +88,14 @@ class PerturbationMatrix:
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Observation operator (p, n), SPD error covariance (p, p), observation (p,).
+    """Observation operator (p, n), SPD error covariance, observation (p,).
 
-    ``covariance`` may be given as a length-p vector of variances, which is
-    expanded to a diagonal matrix. ``cholesky`` is the lower factor ``L`` of
-    ``R = L @ L.T``, computed once at construction (which validates positive
-    definiteness) and kept in Fortran order so triangular solves read it in place.
+    ``covariance`` is kept as given: a (p, p) matrix, or a length-p vector of
+    variances for a diagonal ``R``, which is never expanded. ``cholesky`` is
+    the lower factor ``L`` of ``R = L @ L.T``, computed once at construction
+    (which validates positive definiteness): the (p,) standard deviations for
+    a vector, otherwise a (p, p) matrix kept in Fortran order so triangular
+    solves read it in place.
     """
 
     operator: np.ndarray
@@ -104,28 +106,26 @@ class ObservationModel:
     def __post_init__(self):
         operator = require_matrix(self.operator, "observation operator")
         observation = require_vector(self.observation, "observation")
+        p = operator.shape[0]
         cov = np.asarray(self.covariance, dtype=np.float64)
         if cov.ndim == 1:
-            cov = np.diag(require_vector(cov, "observation error variances"))
-        cov = require_matrix(cov, "observation error covariance")
-        p = operator.shape[0]
-        if cov.shape != (p, p):
-            raise ValueError(f"observation error covariance must be {p} x {p}, got {cov.shape}")
+            cov = require_vector(cov, "observation error variances")
+        else:
+            cov = require_matrix(cov, "observation error covariance")
+        if cov.shape != (p,) * cov.ndim:
+            raise ValueError(
+                f"observation error covariance must be {p} x {p} or {p} variances, got {cov.shape}"
+            )
         if observation.shape != (p,):
             raise ValueError(f"observation length {observation.shape[0]} does not match p={p}")
-        if frobenius(cov - cov.T) > 1e-10 * max(frobenius(cov), 1e-300):
-            raise ValueError("observation error covariance not symmetric")
-        cov = symmetrize(cov)
-        try:
-            factor = sla.cholesky(cov, lower=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "observation error covariance R not positive definite"
-            ) from exc
+        if cov.ndim == 2:
+            if frobenius(cov - cov.T) > 1e-10 * max(frobenius(cov), 1e-300):
+                raise ValueError("observation error covariance not symmetric")
+            cov = symmetrize(cov)
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "covariance", cov)
         object.__setattr__(self, "observation", observation)
-        object.__setattr__(self, "cholesky", np.asfortranarray(factor))
+        object.__setattr__(self, "cholesky", _error_factor(cov))
 
     @property
     def obs_dim(self) -> int:
@@ -134,6 +134,19 @@ class ObservationModel:
     @property
     def state_dim(self) -> int:
         return self.operator.shape[1]
+
+
+def _error_factor(cov: np.ndarray) -> np.ndarray:
+    """Lower factor of ``R``: standard deviations for variances, else Cholesky."""
+    message = "observation error covariance R not positive definite"
+    if cov.ndim == 1:
+        if not np.all(cov > 0.0):
+            raise np.linalg.LinAlgError(message)
+        return np.sqrt(cov)
+    try:
+        return np.asfortranarray(sla.cholesky(cov, lower=True, check_finite=False))
+    except sla.LinAlgError as exc:
+        raise np.linalg.LinAlgError(message) from exc
 
 
 def perturbation_matrix(ens: ForecastEnsemble) -> PerturbationMatrix:

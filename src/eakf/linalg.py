@@ -159,22 +159,22 @@ def svd_full(matrix) -> SvdFactors:
     threshold = RANK_TOL * float(s[0]) * max(n, m)
     rank = int(np.count_nonzero(s > threshold))
 
-    left = u[:, :rank].copy()
-    right = vt.T.copy()
-    for j in range(rank):
-        pivot = int(np.argmax(np.abs(left[:, j])))
-        if left[pivot, j] < 0.0:
-            left[:, j] *= -1.0
-            right[:, j] *= -1.0
-    for j in range(rank, m):
-        pivot = int(np.argmax(np.abs(right[:, j])))
-        if right[pivot, j] < 0.0:
-            right[:, j] *= -1.0
+    left = u[:, :rank]
+    right = vt.T
+    signs = np.concatenate([_pivot_signs(left), _pivot_signs(right[:, rank:])])
+    left = left * signs[:rank]
+    right = right * signs
 
     sigma_rect = np.zeros((rank, m))
     idx = np.arange(rank)
     sigma_rect[idx, idx] = s[:rank]
     return SvdFactors(left=left, sigma_rect=sigma_rect, right=right, rank=rank)
+
+
+def _pivot_signs(columns: np.ndarray) -> np.ndarray:
+    """``-1.0`` for each column whose largest-magnitude entry (first on ties) is negative, else ``1.0``."""
+    pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
+    return np.where(pivots < 0.0, -1.0, 1.0)
 
 
 def pinv_rect_diag(sigma_rect) -> np.ndarray:

@@ -57,6 +57,12 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return sla.cho_solve(factor, rhs)
 
 
+def _dense_error_cov(obs: ObservationModel) -> np.ndarray:
+    """``R`` as a ``(p, p)`` matrix; the model keeps a diagonal ``R`` as variances."""
+    r = obs.covariance
+    return np.diag(r) if r.ndim == 1 else r
+
+
 def posterior_cov_direct(forecast_cov, obs: ObservationModel) -> np.ndarray:
     """Posterior covariance ``(I - K H) P_f`` with the standard gain."""
     pf = require_matrix(forecast_cov, "forecast covariance")
@@ -66,7 +72,7 @@ def posterior_cov_direct(forecast_cov, obs: ObservationModel) -> np.ndarray:
     if obs.state_dim != n:
         raise ValueError("observation operator inconsistent with forecast covariance")
     h = obs.operator
-    innovation_cov = h @ pf @ h.T + obs.covariance
+    innovation_cov = h @ pf @ h.T + _dense_error_cov(obs)
     # K.T = inv(H P_f H.T + R) @ H @ P_f
     gain_t = _spd_solve(innovation_cov, h @ pf, "innovation covariance")
     return symmetrize(pf - gain_t.T @ (h @ pf))
@@ -78,7 +84,7 @@ def posterior_cov_reduced(pert: PerturbationMatrix, obs: ObservationModel) -> np
     if obs.state_dim != z.shape[0]:
         raise ValueError("observation operator inconsistent with perturbations")
     v = (obs.operator @ z).T
-    solved = _spd_solve(v.T @ v + obs.covariance, v.T, "reduced-form innovation covariance")
+    solved = _spd_solve(v.T @ v + _dense_error_cov(obs), v.T, "reduced-form innovation covariance")
     middle = np.eye(pert.size) - v @ solved
     return symmetrize(z @ middle @ z.T)
 
@@ -89,7 +95,7 @@ def posterior_cov_woodbury(pert: PerturbationMatrix, obs: ObservationModel) -> n
     if obs.state_dim != z.shape[0]:
         raise ValueError("observation operator inconsistent with perturbations")
     v = (obs.operator @ z).T
-    r_inv_vt = _spd_solve(obs.covariance, v.T, "observation error covariance R")
+    r_inv_vt = _spd_solve(_dense_error_cov(obs), v.T, "observation error covariance R")
     middle = np.eye(pert.size) + v @ r_inv_vt
     solved = _spd_solve(middle, z.T, "ensemble-space Woodbury matrix")
     return symmetrize(z @ solved)

@@ -21,7 +21,9 @@ and since ``left.T @ left = I``, ``A @ Z = Z @ T`` with the ``(m, m)`` transform
 
 which is all this module forms. ``S = Y.T @ Y`` is not formed either: ``g``
 and ``C`` come from an SVD of the whitened ``Y = inv(L) H Z`` (``R = L L.T``,
-factored once by the observation model), and so does the Kalman gain.
+factored once by the observation model; ``L`` is a vector of standard
+deviations when ``R`` is diagonal), and so do the mean update and, on
+request, the Kalman gain.
 
 Two implementation details decide whether this is exact or silently wrong:
 
@@ -77,14 +79,19 @@ class AdjustmentMatrix:
 
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Analysis mean, scaled perturbations, covariance, and Kalman gain."""
+    """Analysis mean, scaled perturbations and covariance.
+
+    The mean and the covariance diagonal must be finite: an analysis that
+    overflows float64 raises instead of passing on ``inf`` or ``nan``.
+    """
 
     mean: np.ndarray
     perturbations: np.ndarray
     covariance: np.ndarray
-    gain: np.ndarray
 
     def __post_init__(self):
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(np.diagonal(self.covariance)))):
+            raise ValueError("analysis mean or covariance not finite in float64")
         za = self.perturbations
         row_sums = za.sum(axis=1)
         if frobenius(row_sums) > 1e-12 * max(frobenius(za), 1.0):
@@ -94,6 +101,18 @@ class AnalysisResult:
         """Analysis ensemble members, ``mean + sqrt(m-1) * perturbations``."""
         m = self.perturbations.shape[1]
         return self.mean[:, None] + np.sqrt(m - 1) * self.perturbations
+
+
+def _whiten(factor: np.ndarray, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    """``inv(L) @ rhs``, or ``inv(L).T @ rhs`` with ``trans="T"``.
+
+    ``factor`` is the observation model's ``cholesky``: a lower triangular
+    ``(p, p)`` ``L``, or the ``(p,)`` diagonal of ``L`` for a diagonal ``R``,
+    which makes whitening a row scale.
+    """
+    if factor.ndim == 1:
+        return rhs / (factor[:, None] if rhs.ndim == 2 else factor)
+    return sla.solve_triangular(factor, rhs, lower=True, trans=trans, check_finite=False)
 
 
 def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.ndarray:
@@ -108,7 +127,12 @@ def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.
             f"observation operator has {obs.state_dim} state columns, "
             f"expected {pert.state_dim}"
         )
-    return sla.solve_triangular(obs.cholesky, obs.operator @ pert.matrix, lower=True, check_finite=False)
+    return _whiten(obs.cholesky, obs.operator @ pert.matrix)
+
+
+def _gain_weights(g: np.ndarray) -> np.ndarray:
+    """``s / (1 + s**2)`` for the observed eigenvalues ``g = s**2``."""
+    return np.sqrt(g) / (1.0 + g)
 
 
 def kalman_gain(pert: PerturbationMatrix, obs: ObservationModel, eig: OrderedEigen) -> np.ndarray:
@@ -117,14 +141,13 @@ def kalman_gain(pert: PerturbationMatrix, obs: ObservationModel, eig: OrderedEig
     ``eig`` is the :func:`eakf.linalg.ordered_eig_psd` result for
     ``Y = project_observations(pert, obs)``. With
     ``Y = U_W diag(s) C[:, :k].T`` the gain is
-    ``Z C[:, :k] diag(s / (1 + s**2)) U_W.T inv(L)``: one triangular solve
-    with ``(p, k)`` right-hand sides, no ``(p, p)`` system.
+    ``Z C[:, :k] diag(s / (1 + s**2)) U_W.T inv(L)``: one whitening of
+    ``(p, k)`` right-hand sides (a triangular solve, or a row scale for a
+    diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it.
     """
     k = eig.obs_vectors.shape[1]
-    g = eig.values[:k]
-    weights = eig.obs_vectors * (np.sqrt(g) / (1.0 + g))
     # (U_W D).T inv(L) = (inv(L).T U_W D).T
-    whitened = sla.solve_triangular(obs.cholesky, weights, lower=True, trans="T", check_finite=False)
+    whitened = _whiten(obs.cholesky, eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
     return (pert.matrix @ eig.vectors[:, :k]) @ whitened.T
 
 
@@ -202,22 +225,29 @@ def analyze(
     *,
     seed: int | None = None,
 ) -> AnalysisResult:
-    """Run one analysis step: transformed perturbations plus the gain-based mean.
+    """Run one analysis step: transformed perturbations plus the Kalman mean.
 
     The perturbation update only constrains the covariance; the analysis
-    mean follows the standard Kalman formula ``mean + K (y - H mean)`` with
-    the gain of :func:`kalman_gain`, built from the same factors as the
-    transform (so in misordered mode too the mean is the exact Kalman mean).
+    mean is the standard Kalman mean ``mean + K (y - H mean)``, taken from
+    the same factors as the transform without forming ``K``:
+    ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
+    the innovation and an ``m``-vector of weights (so in misordered mode too
+    the mean is the exact Kalman mean). :func:`kalman_gain` gives ``K``.
+
+    Raises ValueError when the analysis overflows float64 (the mean or the
+    covariance diagonal is not finite).
     """
     pert = perturbation_matrix(ens)
     adj = adjustment_matrix(pert, obs, mode, seed=seed)
-    gain = kalman_gain(pert, obs, adj.eig)
-    innovation = obs.observation - obs.operator @ ens.mean
-    mean_a = ens.mean + gain @ innovation
+    eig = adj.eig
+    k = eig.obs_vectors.shape[1]
+    innovation = _whiten(obs.cholesky, obs.observation - obs.operator @ ens.mean)
+    weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
+    mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
     za = pert.matrix @ adj.transform
     # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
     za -= za.mean(axis=1, keepdims=True)
     # numpy evaluates a @ a.T as a symmetric rank-k update, so the product
     # is exactly symmetric without a symmetrizing copy of an (n, n) array.
-    return AnalysisResult(mean=mean_a, perturbations=za, covariance=za @ za.T, gain=gain)
+    return AnalysisResult(mean=mean_a, perturbations=za, covariance=za @ za.T)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,11 +118,37 @@ def test_reconstruct_rejects_uncentered():
 
 
 def test_observation_model_diagonal_covariance():
+    # variances stay a vector; the factor holds the standard deviations
     model = ObservationModel(
         operator=np.eye(2), covariance=np.array([2.0, 3.0]), observation=np.zeros(2)
     )
-    np.testing.assert_array_equal(model.covariance, np.diag([2.0, 3.0]))
+    np.testing.assert_array_equal(model.covariance, [2.0, 3.0])
+    np.testing.assert_array_equal(model.cholesky, np.sqrt([2.0, 3.0]))
     assert model.obs_dim == 2 and model.state_dim == 2
+
+
+def test_observation_model_variance_errors():
+    for variances in ([1.0, 0.0], [1.0, -2.0]):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            ObservationModel(operator=np.eye(2), covariance=variances, observation=np.zeros(2))
+    with pytest.raises(ValueError, match="finite"):
+        ObservationModel(operator=np.eye(2), covariance=[1.0, np.inf], observation=np.zeros(2))
+    with pytest.raises(ValueError, match="covariance"):
+        ObservationModel(operator=np.eye(2), covariance=np.ones(3), observation=np.zeros(2))
+
+
+def test_observation_model_keeps_variances_small():
+    # a diagonal R at p = 2000 holds p variances and p deviations, no p x p array
+    rng = np.random.default_rng(0)
+    operator, variances = rng.standard_normal((2000, 50)), rng.uniform(0.5, 2.0, 2000)
+    tracemalloc.start()
+    try:
+        model = ObservationModel(operator=operator, covariance=variances, observation=np.zeros(2000))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1e6, retained
+    assert model.covariance.shape == model.cholesky.shape == (2000,)
 
 
 def test_observation_model_not_spd():

@@ -68,6 +68,50 @@ def test_svd_sign_convention():
         assert col[int(np.argmax(np.abs(col)))] > 0.0
 
 
+def test_svd_sign_ties_go_to_the_smallest_index(monkeypatch):
+    # exact Hadamard factors: every entry of a column ties in magnitude, so
+    # the first entry decides its sign
+    h = 0.5 * np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
+    u = h * [1.0, -1.0, 1.0, 1.0]  # retained column 1 starts negative
+    right = h * [1.0, 1.0, -1.0, 1.0]  # null-space column 2 starts negative
+    s = np.array([3.0, 2.0, 0.0, 0.0])
+    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: (u, s, right.T))
+    f = svd_full(np.ones((4, 4)))
+    assert f.rank == 2
+    np.testing.assert_array_equal(f.left, h[:, :2])
+    # the retained flip carries over to the paired right column
+    np.testing.assert_array_equal(f.right, h * [1.0, -1.0, 1.0, 1.0])
+
+
+def _loop_sign_factors(matrix):
+    """The per-column sign loop svd_full used before it was vectorized."""
+    n, m = matrix.shape
+    u, s, vt = np.linalg.svd(matrix, full_matrices=n < m)
+    rank = int(np.count_nonzero(s > np.finfo(np.float64).eps * float(s[0]) * max(n, m)))
+    left = u[:, :rank].copy()
+    right = vt.T.copy()
+    for j in range(rank):
+        pivot = int(np.argmax(np.abs(left[:, j])))
+        if left[pivot, j] < 0.0:
+            left[:, j] *= -1.0
+            right[:, j] *= -1.0
+    for j in range(rank, m):
+        pivot = int(np.argmax(np.abs(right[:, j])))
+        if right[pivot, j] < 0.0:
+            right[:, j] *= -1.0
+    return left, right
+
+
+@pytest.mark.parametrize("shape", RNG_SHAPES)
+def test_svd_signs_match_the_column_loop(shape):
+    rng = np.random.default_rng(hash(shape) % 2**32)
+    for matrix in (rng.standard_normal(shape), rng.standard_normal((shape[0], 1)) @ rng.standard_normal((1, shape[1]))):
+        f = svd_full(matrix)
+        left, right = _loop_sign_factors(matrix)
+        np.testing.assert_array_equal(f.left, left)
+        np.testing.assert_array_equal(f.right, right)
+
+
 def test_svd_deterministic():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((8, 5))

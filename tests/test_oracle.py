@@ -125,3 +125,22 @@ def test_report_round_trips_to_dict():
         "tolerance",
         "passed",
     }
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_routes_take_variance_vector_as_diagonal(seed):
+    inst = random_instance(seed, "generic")
+    pert = perturbation_matrix(inst.ensemble)
+    model = inst.observation
+    variances = np.random.default_rng(seed).uniform(0.1, 10.0, model.obs_dim)
+    vector, dense = (
+        ObservationModel(model.operator, r, model.observation) for r in (variances, np.diag(variances))
+    )
+    pf = forecast_cov(pert)
+    for route in (
+        lambda obs: posterior_cov_direct(pf, obs),
+        lambda obs: posterior_cov_reduced(pert, obs),
+        lambda obs: posterior_cov_woodbury(pert, obs),
+    ):
+        expected = route(dense)
+        assert np.linalg.norm(route(vector) - expected) <= 1e-13 * max(np.linalg.norm(expected), 1e-300)

@@ -6,7 +6,7 @@ of its large ones once the ensemble spread far exceeds the observation error
 or ``R`` is ill conditioned. The whitened square-root path must keep the
 1e-10 contract there. The reference is the gain form of the posterior
 evaluated in 60-digit arithmetic on the exact float64 inputs of the analysis
-(the scaled perturbations, ``H`` and the symmetrized ``R``).
+(the scaled perturbations, ``H`` and the symmetrized ``R``, or its variances).
 """
 
 import numpy as np
@@ -24,7 +24,8 @@ def exact_analysis(ens, obs):
     """Posterior covariance and mean to 60 digits, rounded to float64."""
     z = perturbation_matrix(ens).matrix
     with mpmath.workdps(60):
-        zm, h, r = (mpmath.matrix(a.tolist()) for a in (z, obs.operator, obs.covariance))
+        r = obs.covariance if obs.covariance.ndim == 2 else np.diag(obs.covariance)
+        zm, h, r = (mpmath.matrix(a.tolist()) for a in (z, obs.operator, r))
         x, y = mpmath.matrix(ens.mean.tolist()), mpmath.matrix(obs.observation.tolist())
         hp = h * zm * zm.T
         gain_t = mpmath.inverse(hp * h.T + r) * hp
@@ -60,5 +61,15 @@ def test_ill_conditioned_observation_error(condition):
     covariance = (q * np.logspace(0, -np.log10(condition), 4)) @ q.T
     obs = ObservationModel(
         operator=operator, covariance=0.5 * (covariance + covariance.T), observation=rng.standard_normal(4)
+    )
+    assert_exact(ForecastEnsemble.from_members(members), obs)
+
+
+def test_spread_far_above_widely_spread_variances():
+    # R kept as a vector of variances from 1e-6 to 1e6, ensemble spread 1e8
+    rng = np.random.default_rng(2)
+    members = rng.standard_normal((6, 8)) * 1e8
+    obs = ObservationModel(
+        operator=rng.standard_normal((5, 6)), covariance=np.logspace(-6, 6, 5), observation=rng.standard_normal(5)
     )
     assert_exact(ForecastEnsemble.from_members(members), obs)

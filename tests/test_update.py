@@ -195,7 +195,9 @@ def test_analyze_three_members():
     np.testing.assert_allclose(
         res.covariance, [[0.5, -0.25], [-0.25, 0.875]], atol=1e-14
     )
-    np.testing.assert_allclose(res.gain, [[0.5], [-0.25]], atol=1e-14)
+    pert = perturbation_matrix(ens)
+    adj = adjustment_matrix(pert, obs)
+    np.testing.assert_allclose(kalman_gain(pert, obs, adj.eig), [[0.5], [-0.25]], atol=1e-14)
 
 
 @pytest.mark.parametrize("category", ALL_CATEGORIES)
@@ -218,9 +220,9 @@ def test_analyze_row_sums():
 
 @pytest.mark.parametrize("n, m, p", [(2000, 20, 200), (200, 20, 2000)])
 def test_analyze_peak_memory(n, m, p):
-    # the covariance (n x n) and the gain (n x p) are the only large arrays
-    # analyze forms: no n x n factor or adjustment, no p x p system, and no
-    # copy of the model's Cholesky factor
+    # the covariance (n x n) is the only large array analyze forms: no n x n
+    # factor or adjustment, no n x p gain, no p x p matrix; the rest is a
+    # few (n + p) x m arrays
     rng = np.random.default_rng(0)
     ens = ForecastEnsemble.from_members(rng.standard_normal((n, m)))
     obs = ObservationModel(
@@ -234,8 +236,51 @@ def test_analyze_peak_memory(n, m, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * (res.covariance.nbytes + res.gain.nbytes), peak
+    assert peak < res.covariance.nbytes + 8 * (n + p) * m * 8, peak
     np.testing.assert_array_equal(res.covariance, res.covariance.T)
+
+
+@pytest.mark.parametrize("category", ALL_CATEGORIES)
+def test_analyze_mean_matches_gain_form(category):
+    # the ensemble-space weights give the mean of the explicit gain
+    worst = 0.0
+    for seed in range(100):
+        inst = random_instance(seed, category)
+        ens, obs = inst.ensemble, inst.observation
+        pert = perturbation_matrix(ens)
+        adj = adjustment_matrix(pert, obs)
+        increment = kalman_gain(pert, obs, adj.eig) @ (obs.observation - obs.operator @ ens.mean)
+        expected = ens.mean + increment
+        err = np.linalg.norm(analyze(ens, obs).mean - expected)
+        worst = max(worst, err / max(np.linalg.norm(expected), 1e-300))
+    assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("category", ALL_CATEGORIES)
+def test_analyze_variance_vector_matches_diagonal_matrix(category):
+    def rel(a, b):
+        return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+    for seed in range(20):
+        inst = random_instance(seed, category)
+        model = inst.observation
+        variances = np.random.default_rng(seed).uniform(0.1, 10.0, model.obs_dim)
+        vector, dense = (
+            analyze(inst.ensemble, ObservationModel(model.operator, r, model.observation))
+            for r in (variances, np.diag(variances))
+        )
+        assert rel(vector.mean, dense.mean) <= 1e-13, (category, seed)
+        assert rel(vector.perturbations, dense.perturbations) <= 1e-13, (category, seed)
+        assert rel(vector.covariance, dense.covariance) <= 1e-13, (category, seed)
+
+
+@pytest.mark.parametrize("covariance", [np.eye(2), np.ones(2)], ids=["dense", "vector"])
+def test_analyze_raises_on_overflow(covariance):
+    # unobserved variances near 1e320 do not fit in float64
+    members = np.random.default_rng(0).standard_normal((4, 6)) * 1e160
+    obs = ObservationModel(operator=np.eye(4)[:2], covariance=covariance, observation=np.ones(2))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="analysis mean or covariance not finite"):
+        analyze(ForecastEnsemble.from_members(members), obs)
 
 
 def test_analyze_deterministic():
