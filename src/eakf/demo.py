@@ -17,6 +17,8 @@ from .oracle import compare_cov, posterior_cov_direct
 from .update import MODE_CORRECT, MODE_MISORDERED, analyze
 
 SCHEMA_VERSION = 1
+# Largest relative Frobenius error of the correct-mode covariance.
+TOLERANCE = 1e-10
 
 
 def scalar_instance() -> tuple[ForecastEnsemble, ObservationModel]:
@@ -30,7 +32,7 @@ def scalar_instance() -> tuple[ForecastEnsemble, ObservationModel]:
     return ensemble, model
 
 
-def run_pitfall_demo(seed: int, tolerance: float = 1e-10) -> dict:
+def run_pitfall_demo(seed: int) -> dict:
     """Return the JSON-ready demo report (no timestamp)."""
     instances = [("scalar", *scalar_instance())]
     random_inst = random_instance(seed, RANK_DEFICIENT)
@@ -50,7 +52,7 @@ def run_pitfall_demo(seed: int, tolerance: float = 1e-10) -> dict:
         oracle_cov = posterior_cov_direct(forecast_cov(pert), model)
         correct = analyze(ensemble, model, MODE_CORRECT)
         misordered = analyze(ensemble, model, MODE_MISORDERED, seed=seed)
-        correct_cmp = compare_cov(correct.covariance, oracle_cov, tolerance)
+        correct_cmp = compare_cov(correct.covariance, oracle_cov, TOLERANCE)
         deficit = float(np.trace(oracle_cov) - np.trace(misordered.covariance))
         ok = correct_cmp.passed and deficit > 0.0
         all_ok = all_ok and ok
@@ -69,7 +71,7 @@ def run_pitfall_demo(seed: int, tolerance: float = 1e-10) -> dict:
         "schema": SCHEMA_VERSION,
         "command": "demo-pitfall",
         "seed": seed,
-        "tolerance": tolerance,
+        "tolerance": TOLERANCE,
         "instances": rows,
         "passed": all_ok,
     }

@@ -95,7 +95,7 @@ class ObservationModel:
     the lower factor ``L`` of ``R = L @ L.T``, computed once at construction
     (which validates positive definiteness): the (p,) standard deviations for
     a vector, otherwise a (p, p) matrix kept in Fortran order so triangular
-    solves read it in place.
+    solves read it in place. :meth:`whiten` applies ``inv(L)``.
     """
 
     operator: np.ndarray
@@ -135,6 +135,16 @@ class ObservationModel:
     def state_dim(self) -> int:
         return self.operator.shape[1]
 
+    def whiten(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """``inv(L) @ rhs``, or ``inv(L).T @ rhs`` with ``trans="T"``.
+
+        A row scale for a diagonal ``R``, otherwise a triangular solve.
+        """
+        factor = self.cholesky
+        if factor.ndim == 1:
+            return rhs / (factor[:, None] if rhs.ndim == 2 else factor)
+        return sla.solve_triangular(factor, rhs, lower=True, trans=trans, check_finite=False)
+
 
 def _error_factor(cov: np.ndarray) -> np.ndarray:
     """Lower factor of ``R``: standard deviations for variances, else Cholesky."""
@@ -160,16 +170,18 @@ def perturbation_matrix(ens: ForecastEnsemble) -> PerturbationMatrix:
 
 
 def forecast_cov(pert: PerturbationMatrix) -> np.ndarray:
-    """Ensemble forecast covariance ``Z @ Z.T``, symmetrized."""
-    z = pert.matrix
-    return symmetrize(z @ z.T)
+    """Ensemble forecast covariance ``Z @ Z.T``, exactly symmetric."""
+    # numpy takes a symmetric rank-k update, not a general product, only for
+    # a contiguous operand (C or Fortran order)
+    z = np.ascontiguousarray(pert.matrix)
+    return z @ z.T
 
 
-def reconstruct_members(mean, perturbations, *, row_sum_tol: float = 1e-12) -> ForecastEnsemble:
+def reconstruct_members(mean, perturbations) -> ForecastEnsemble:
     """Invert the perturbation scaling: member i is ``mean + sqrt(m-1) * col_i``.
 
-    The perturbation rows must sum to zero within ``row_sum_tol`` relative to
-    the Frobenius norm, otherwise the result would not have ``mean`` as its
+    The perturbation rows must sum to zero within 1e-12 relative to the
+    Frobenius norm, otherwise the result would not have ``mean`` as its
     ensemble mean.
     """
     mean_arr = require_vector(mean, "mean")
@@ -180,7 +192,7 @@ def reconstruct_members(mean, perturbations, *, row_sum_tol: float = 1e-12) -> F
     if m < 2:
         raise ValueError("ensemble too small: need at least 2 members")
     row_sums = za.sum(axis=1)
-    if frobenius(row_sums) > row_sum_tol * max(frobenius(za), 1.0):
+    if frobenius(row_sums) > 1e-12 * max(frobenius(za), 1.0):
         raise ValueError("perturbations not centered")
     members = mean_arr[:, None] + np.sqrt(m - 1) * za
     return ForecastEnsemble.from_members(members)

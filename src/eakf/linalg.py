@@ -3,9 +3,10 @@
 The analysis update in :mod:`eakf.update` is only exact when two conventions
 are enforced that general-purpose solvers do not guarantee:
 
-* the SVD of a rank-``r`` matrix must be returned in the shape
-  ``(n, r) x (r, m) x (m, m)`` so the rectangular singular-value factor has a
-  well defined Moore-Penrose pseudoinverse, and
+* the SVD of a rank-``r`` matrix ``M = U_r diag(s) B.T`` must come with the
+  full ``(m, m)`` right factor ``[B, B_null]``, so the rank-``r`` cut the
+  paper writes as ``pinv(Sig) @ Sig`` (``Sig`` the rectangular ``(r, m)``
+  singular-value factor) is simply the leading ``r`` columns, and
 * the eigendecomposition of the observation-space matrix ``S = Y.T @ Y``
   (``Y`` the whitened observed perturbations) must place eigenvectors lying
   in the null space of the decomposed perturbation matrix in the *trailing*
@@ -20,6 +21,9 @@ larger null space than the perturbation matrix, e.g. for unobserved or
 partially observed ensembles. ``S`` itself is never formed: its eigenvalues
 are the squared singular values of ``Y``, so they keep the accuracy of ``Y``
 instead of the squared conditioning of an explicit Gram matrix.
+
+``pinv_rect_diag`` is the paper's rectangular pseudoinverse, kept as the
+reference the rank-``r`` cut is tested against; the analysis does not call it.
 """
 
 from __future__ import annotations
@@ -42,32 +46,29 @@ _ORTHO_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Rank-revealing SVD ``M = left @ sigma_rect @ right.T``.
+    """Rank-revealing SVD ``M = left @ diag(singular_values) @ right[:, :rank].T``.
 
     Attributes
     ----------
     left : ndarray, shape (n, r)
         Orthonormal columns spanning the range of the input.
-    sigma_rect : ndarray, shape (r, m)
-        Rectangular diagonal factor; diagonal holds the retained singular
-        values in strictly decreasing order, all positive.
+    singular_values : ndarray, shape (r,)
+        The retained singular values in strictly decreasing order, all
+        positive; ``r`` is the rank.
     right : ndarray, shape (m, m)
         Orthogonal matrix. The leading ``r`` columns span the row space of
         the input, the trailing ``m - r`` columns span its null space.
-    rank : int
-        Number of singular values above the rank threshold.
     """
 
     left: np.ndarray
-    sigma_rect: np.ndarray
+    singular_values: np.ndarray
     right: np.ndarray
-    rank: int
 
     def __post_init__(self):
         r = self.rank
         n = self.left.shape[0]
         m = self.right.shape[0]
-        if self.left.shape != (n, r) or self.sigma_rect.shape != (r, m):
+        if self.singular_values.shape != (r,) or self.left.shape != (n, r) or r > m:
             raise ValueError("SvdFactors: inconsistent factor shapes")
         if self.right.shape != (m, m):
             raise ValueError("SvdFactors: right factor must be square")
@@ -80,9 +81,9 @@ class SvdFactors:
             raise ValueError("SvdFactors: right factor not orthogonal")
 
     @property
-    def singular_values(self) -> np.ndarray:
-        """Retained singular values as a 1-D array of length ``rank``."""
-        return np.diagonal(self.sigma_rect).copy()
+    def rank(self) -> int:
+        """Number of singular values above the rank threshold."""
+        return self.singular_values.size
 
     def row_space_basis(self) -> np.ndarray:
         """Leading ``rank`` columns of ``right`` (row space of the input)."""
@@ -93,7 +94,7 @@ class SvdFactors:
         return self.right[:, self.rank :]
 
     def reconstruct(self) -> np.ndarray:
-        return self.left @ self.sigma_rect @ self.right.T
+        return (self.left * self.singular_values) @ self.row_space_basis().T
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,6 @@ class OrderedEigen:
 
     vectors: np.ndarray
     values: np.ndarray
-    effective_rank: int
     obs_vectors: np.ndarray
 
     def __post_init__(self):
@@ -141,10 +141,10 @@ def svd_full(matrix) -> SvdFactors:
     Returns
     -------
     SvdFactors
-        Factors satisfying ``left @ sigma_rect @ right.T == matrix`` to
-        rounding. Signs are fixed so that in every retained left singular
-        vector the entry of largest magnitude (smallest index on ties) is
-        positive, with the paired right singular vector flipped to match;
+        Factors satisfying ``reconstruct() == matrix`` to rounding. Signs
+        are fixed so that in every retained left singular vector the entry
+        of largest magnitude (smallest index on ties) is positive, with the
+        paired right singular vector flipped to match;
         the same rule is applied to the trailing (null-space) columns of
         ``right`` on their own.
     """
@@ -164,11 +164,7 @@ def svd_full(matrix) -> SvdFactors:
     signs = np.concatenate([_pivot_signs(left), _pivot_signs(right[:, rank:])])
     left = left * signs[:rank]
     right = right * signs
-
-    sigma_rect = np.zeros((rank, m))
-    idx = np.arange(rank)
-    sigma_rect[idx, idx] = s[:rank]
-    return SvdFactors(left=left, sigma_rect=sigma_rect, right=right, rank=rank)
+    return SvdFactors(left=left, singular_values=s[:rank], right=right)
 
 
 def _pivot_signs(columns: np.ndarray) -> np.ndarray:
@@ -209,48 +205,41 @@ def pinv_rect_diag(sigma_rect) -> np.ndarray:
     return out
 
 
-def ordered_eig_psd(whitened, row_space_basis, null_basis) -> OrderedEigen:
+def ordered_eig_psd(whitened, svd: SvdFactors) -> OrderedEigen:
     """Eigendecomposition of ``S = whitened.T @ whitened`` with ordered null vectors.
 
     Parameters
     ----------
     whitened : array_like, shape (p, m)
         Factor ``Y`` of the symmetric PSD matrix ``S = Y.T @ Y``; ``Y`` must
-        vanish on ``null_basis`` (checked relative to ``||Y||``).
-    row_space_basis : array_like, shape (m, r)
-        Leading right singular vectors of the associated perturbation
-        matrix.
-    null_basis : array_like, shape (m, m - r)
-        Trailing right singular vectors of the associated perturbation
-        matrix; these become the trailing columns of the output verbatim.
+        vanish on ``svd.null_space_basis()`` (checked relative to ``||Y||``).
+    svd : SvdFactors
+        SVD of the associated ``(n, m)`` perturbation matrix. Its null-space
+        basis becomes the trailing columns of the output verbatim.
 
     Returns
     -------
     OrderedEigen
-        With the SVD ``Y @ row_space_basis = U_W @ diag(s) @ Q_W.T``,
-        ``vectors`` is ``[row_space_basis @ Q_W, null_basis]``, ``values`` is
-        ``s**2`` padded with zeros and ``obs_vectors`` is ``U_W``. The
-        ordering contract holds regardless of how many zero eigenvalues the
-        row-space block contains, and ``S`` is never formed.
+        With ``B = svd.row_space_basis()`` and the SVD
+        ``Y @ B = U_W @ diag(s) @ Q_W.T``, ``vectors`` is
+        ``[B @ Q_W, svd.null_space_basis()]``, ``values`` is ``s**2`` padded
+        with zeros and ``obs_vectors`` is ``U_W``. The ordering contract holds
+        regardless of how many zero eigenvalues the row-space block contains,
+        and ``S`` is never formed.
     """
     y = require_matrix(whitened, "ordered_eig_psd input")
     p, m = y.shape
-    basis_r = require_matrix(row_space_basis, "row_space_basis")
-    basis_n = require_matrix(null_basis, "null_basis")
-    r = basis_r.shape[1]
-    if basis_r.shape[0] != m or basis_n.shape != (m, m - r):
+    if svd.right.shape[0] != m:
         raise ValueError(
-            "ordered_eig_psd: bases must partition the columns of an m x m orthogonal matrix"
+            f"ordered_eig_psd: factor has {m} columns, the SVD's right factor {svd.right.shape[0]}"
         )
+    basis_r = svd.row_space_basis()
+    basis_n = svd.null_space_basis()
     if frobenius(y @ basis_n) > _BASIS_TOL * frobenius(y):
         raise ValueError("ordered_eig_psd: null basis inconsistent with the factor")
 
     # Q_W must be the full (r, r) factor; U_W may stay thin.
-    obs_vectors, sigma, qt = np.linalg.svd(y @ basis_r, full_matrices=p < r)
+    obs_vectors, sigma, qt = np.linalg.svd(y @ basis_r, full_matrices=p < svd.rank)
     vectors = np.hstack([basis_r @ qt.T, basis_n])
     values = np.concatenate([sigma**2, np.zeros(m - sigma.size)])
-    if values.size and values[0] > 0.0:
-        eff = int(np.count_nonzero(values > RANK_TOL * values[0] * m))
-    else:
-        eff = 0
-    return OrderedEigen(vectors=vectors, values=values, effective_rank=eff, obs_vectors=obs_vectors)
+    return OrderedEigen(vectors=vectors, values=values, obs_vectors=obs_vectors)

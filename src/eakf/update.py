@@ -19,11 +19,15 @@ and since ``left.T @ left = I``, ``A @ Z = Z @ T`` with the ``(m, m)`` transform
 
     T = C @ diag(1 / sqrt(1 + g)) @ pinv(sig) @ sig @ right.T
 
+``pinv(sig) @ sig`` is the diagonal projector onto the first ``r``
+coordinates, so this is the rank-``r`` cut
+
+    T = C[:, :r] @ diag(1 / sqrt(1 + g[:r])) @ B.T,    B = right[:, :r]
+
 which is all this module forms. ``S = Y.T @ Y`` is not formed either: ``g``
-and ``C`` come from an SVD of the whitened ``Y = inv(L) H Z`` (``R = L L.T``,
-factored once by the observation model; ``L`` is a vector of standard
-deviations when ``R`` is diagonal), and so do the mean update and, on
-request, the Kalman gain.
+and ``C`` come from an SVD of the whitened ``Y = inv(L) H Z`` (``R = L L.T``;
+the observation model factors ``R`` once and whitens), and so do the mean
+update and, on request, the Kalman gain.
 
 Two implementation details decide whether this is exact or silently wrong:
 
@@ -33,11 +37,11 @@ Two implementation details decide whether this is exact or silently wrong:
   perturbations annihilate the ones vector, so ``rank(Z) <= min(n, m - 1)``
   always; no compute path for the square-inverse form exists here.
 
-* ``pinv(sig) @ sig`` truncates the trailing ``m - r`` columns of
+* The rank-``r`` cut drops the trailing ``m - r`` columns of
   ``Z @ C @ diag(1/sqrt(1+g))``. That is harmless exactly when those columns
   of ``C`` lie in the null space of ``Z``, i.e. when the null-space
   eigenvectors are ordered last. If an eigensolver scatters them elsewhere,
-  the truncation zeroes live columns instead and the analysis ensemble loses
+  the cut drops live columns instead and the analysis ensemble loses
   variance it should have kept. ``mode="misordered"`` reproduces that
   failure on purpose (seeded, for demonstrations and negative tests);
   ``mode="correct"`` uses :func:`eakf.linalg.ordered_eig_psd`, which
@@ -49,11 +53,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from ._arrays import frobenius
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
-from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
+from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, svd_full
 
 MODE_CORRECT = "correct"
 MODE_MISORDERED = "misordered"
@@ -103,18 +106,6 @@ class AnalysisResult:
         return self.mean[:, None] + np.sqrt(m - 1) * self.perturbations
 
 
-def _whiten(factor: np.ndarray, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-    """``inv(L) @ rhs``, or ``inv(L).T @ rhs`` with ``trans="T"``.
-
-    ``factor`` is the observation model's ``cholesky``: a lower triangular
-    ``(p, p)`` ``L``, or the ``(p,)`` diagonal of ``L`` for a diagonal ``R``,
-    which makes whitening a row scale.
-    """
-    if factor.ndim == 1:
-        return rhs / (factor[:, None] if rhs.ndim == 2 else factor)
-    return sla.solve_triangular(factor, rhs, lower=True, trans=trans, check_finite=False)
-
-
 def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.ndarray:
     """Whitened observed perturbations ``Y = inv(L) H Z``, shape ``(p, m)``.
 
@@ -127,7 +118,7 @@ def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.
             f"observation operator has {obs.state_dim} state columns, "
             f"expected {pert.state_dim}"
         )
-    return _whiten(obs.cholesky, obs.operator @ pert.matrix)
+    return obs.whiten(obs.operator @ pert.matrix)
 
 
 def _gain_weights(g: np.ndarray) -> np.ndarray:
@@ -147,7 +138,7 @@ def kalman_gain(pert: PerturbationMatrix, obs: ObservationModel, eig: OrderedEig
     """
     k = eig.obs_vectors.shape[1]
     # (U_W D).T inv(L) = (inv(L).T U_W D).T
-    whitened = _whiten(obs.cholesky, eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
+    whitened = obs.whiten(eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
     return (pert.matrix @ eig.vectors[:, :k]) @ whitened.T
 
 
@@ -191,14 +182,14 @@ def adjustment_matrix(
     Notes
     -----
     A zero-spread ensemble (numerical rank 0) yields the zero transform:
-    the empty pseudoinverse factors make the product vanish, which is the
-    correct limit since a zero forecast covariance forces a zero posterior.
+    the rank-0 cut keeps no column, which is the correct limit since a zero
+    forecast covariance forces a zero posterior.
     """
     if mode not in (MODE_CORRECT, MODE_MISORDERED):
         raise ValueError(f"unknown mode {mode!r}")
     factors = svd_full(pert.matrix)
     whitened = project_observations(pert, obs)
-    eig = ordered_eig_psd(whitened, factors.row_space_basis(), factors.null_space_basis())
+    eig = ordered_eig_psd(whitened, factors)
 
     vectors = eig.vectors
     values = eig.values
@@ -211,8 +202,9 @@ def adjustment_matrix(
         vectors = vectors[:, permutation]
         values = values[permutation]
 
-    truncation = pinv_rect_diag(factors.sigma_rect) @ factors.sigma_rect
-    transform = (vectors / np.sqrt(1.0 + values)) @ truncation @ factors.right.T
+    # pinv(Sig) @ Sig keeps the leading r columns: the rank-r cut
+    r = factors.rank
+    transform = (vectors[:, :r] / np.sqrt(1.0 + values[:r])) @ factors.row_space_basis().T
     return AdjustmentMatrix(
         transform=transform, svd=factors, eig=eig, mode=mode, permutation=permutation
     )
@@ -241,7 +233,7 @@ def analyze(
     adj = adjustment_matrix(pert, obs, mode, seed=seed)
     eig = adj.eig
     k = eig.obs_vectors.shape[1]
-    innovation = _whiten(obs.cholesky, obs.observation - obs.operator @ ens.mean)
+    innovation = obs.whiten(obs.observation - obs.operator @ ens.mean)
     weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
     mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
     za = pert.matrix @ adj.transform

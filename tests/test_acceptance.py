@@ -202,7 +202,7 @@ def test_criterion_6_structural_invariants(tmp_path):
             s = gram @ np.linalg.solve(inst.observation.covariance, gram.T)
             s = 0.5 * (s + s.T)
             whitened = project_observations(pert, inst.observation)
-            eig = ordered_eig_psd(whitened, f.row_space_basis(), f.null_space_basis())
+            eig = ordered_eig_psd(whitened, f)
             eig_rel = np.linalg.norm(eig.reconstruct() - s) / max(np.linalg.norm(s), 1e-300)
             eig_worst = max(eig_worst, eig_rel)
 

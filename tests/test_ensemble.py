@@ -81,13 +81,16 @@ def test_forecast_cov_examples():
 
 def test_forecast_cov_symmetric_psd():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        n, m = rng.integers(1, 12), rng.integers(2, 10)
-        pert = perturbation_matrix(ForecastEnsemble.from_members(rng.standard_normal((n, m))))
-        cov = forecast_cov(pert)
-        assert np.linalg.norm(cov - cov.T) <= 1e-14 * max(np.linalg.norm(cov), 1.0)
-        eigvals = np.linalg.eigvalsh(cov)
-        assert eigvals.min() >= -1e-12 * max(np.trace(cov), 1.0)
+    # numpy's general product on a strided (500, 40) view is not symmetric
+    for n, m in [*rng.integers((1, 2), (12, 10), size=(10, 2)), (500, 40)]:
+        z = perturbation_matrix(ForecastEnsemble.from_members(rng.standard_normal((n, m)))).matrix
+        # the same matrix as a strided view
+        wide = np.repeat(z, 2, axis=1)
+        for matrix in (np.ascontiguousarray(z), np.asfortranarray(z), wide[:, ::2]):
+            cov = forecast_cov(PerturbationMatrix(matrix=matrix, scale_members=m))
+            assert np.array_equal(cov, cov.T)
+            eigvals = np.linalg.eigvalsh(cov)
+            assert eigvals.min() >= -1e-12 * max(np.trace(cov), 1.0)
 
 
 def test_reconstruct_examples():

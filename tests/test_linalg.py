@@ -10,7 +10,7 @@ def test_svd_identity():
     f = svd_full(np.eye(2))
     assert f.rank == 2
     np.testing.assert_array_equal(f.left, np.eye(2))
-    np.testing.assert_array_equal(f.sigma_rect, np.eye(2))
+    np.testing.assert_array_equal(f.singular_values, [1.0, 1.0])
     np.testing.assert_array_equal(f.right, np.eye(2))
 
 
@@ -20,7 +20,7 @@ def test_svd_row_vector_example():
     f = svd_full(np.array([[1.0, -1.0]]))
     assert f.rank == 1
     np.testing.assert_allclose(f.left, [[1.0]])
-    np.testing.assert_allclose(f.sigma_rect, [[np.sqrt(2.0), 0.0]])
+    np.testing.assert_allclose(f.singular_values, [np.sqrt(2.0)])
     np.testing.assert_allclose(f.right[:, 0], np.array([1.0, -1.0]) / np.sqrt(2.0))
     np.testing.assert_allclose(f.right[:, 1], np.array([1.0, 1.0]) / np.sqrt(2.0))
     np.testing.assert_allclose(f.reconstruct(), [[1.0, -1.0]], atol=1e-15)
@@ -30,7 +30,7 @@ def test_svd_zero_matrix():
     f = svd_full(np.zeros((2, 3)))
     assert f.rank == 0
     assert f.left.shape == (2, 0)
-    assert f.sigma_rect.shape == (0, 3)
+    assert f.singular_values.shape == (0,)
     np.testing.assert_allclose(f.right.T @ f.right, np.eye(3), atol=1e-15)
 
 
@@ -118,7 +118,7 @@ def test_svd_deterministic():
     f1 = svd_full(m)
     f2 = svd_full(m.copy())
     np.testing.assert_array_equal(f1.left, f2.left)
-    np.testing.assert_array_equal(f1.sigma_rect, f2.sigma_rect)
+    np.testing.assert_array_equal(f1.singular_values, f2.singular_values)
     np.testing.assert_array_equal(f1.right, f2.right)
 
 
@@ -176,7 +176,7 @@ def test_ordered_eig_two_member_example():
     y = z / np.sqrt(2.0)
     s = y.T @ y
     f = svd_full(z)
-    eig = ordered_eig_psd(y, f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(y, f)
     np.testing.assert_allclose(eig.values, [1.0, 0.0], atol=1e-14)
     lead = eig.vectors[:, 0]
     np.testing.assert_allclose(np.abs(lead), np.abs(np.array([1.0, -1.0]) / np.sqrt(2.0)))
@@ -191,11 +191,10 @@ def test_ordered_eig_zero_matrix():
     z = rng.standard_normal((3, 5))
     z -= z.mean(axis=1, keepdims=True)
     f = svd_full(z)
-    eig = ordered_eig_psd(np.zeros((2, 5)), f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(np.zeros((2, 5)), f)
     np.testing.assert_array_equal(eig.values, np.zeros(5))
     # trailing columns are the null basis verbatim
     np.testing.assert_array_equal(eig.vectors[:, f.rank :], f.null_space_basis())
-    assert eig.effective_rank == 0
 
 
 def test_ordered_eig_rank_gap_example():
@@ -206,7 +205,7 @@ def test_ordered_eig_rank_gap_example():
     s = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     f = svd_full(z)
     assert f.rank == 2
-    eig = ordered_eig_psd(y, f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(y, f)
     np.testing.assert_allclose(eig.values, [1.0, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(eig.reconstruct(), s, atol=1e-14)
     trailing = eig.vectors[:, 2]
@@ -231,7 +230,7 @@ def test_ordered_eig_random_property(seed):
     s = 0.5 * (s + s.T)
     y = np.linalg.solve(np.linalg.cholesky(r), hz)
     f = svd_full(z)
-    eig = ordered_eig_psd(y, f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(y, f)
     s_scale = max(np.linalg.norm(s), 1e-300)
     assert np.linalg.norm(eig.reconstruct() - s) <= 1e-10 * s_scale
     trailing = eig.vectors[:, f.rank :]
@@ -251,10 +250,10 @@ def test_ordered_eig_errors():
     z = np.array([[1.0, -1.0]])
     f = svd_full(z)
     y = z / np.sqrt(2.0)
-    # swapping the bases hands ordered_eig_psd a "null" vector Y does not kill
+    # Y = (1, 1) does not vanish on the null vector (1, 1)/sqrt(2) of Z
     with pytest.raises(ValueError, match="basis inconsistent with the factor"):
-        ordered_eig_psd(y, f.null_space_basis(), f.row_space_basis())
-    with pytest.raises(ValueError, match="partition"):
-        ordered_eig_psd(y, f.row_space_basis(), np.eye(2))
+        ordered_eig_psd(np.array([[1.0, 1.0]]), f)
+    with pytest.raises(ValueError, match="3 columns, the SVD's right factor 2"):
+        ordered_eig_psd(np.ones((1, 3)), f)
     with pytest.raises(ValueError, match="2-D"):
-        ordered_eig_psd(y[0], f.row_space_basis(), f.null_space_basis())
+        ordered_eig_psd(y[0], f)

@@ -76,8 +76,7 @@ def test_project_observations_shape_mismatch():
 
 
 def gain(pert, obs):
-    f = svd_full(pert.matrix)
-    eig = ordered_eig_psd(project_observations(pert, obs), f.row_space_basis(), f.null_space_basis())
+    eig = ordered_eig_psd(project_observations(pert, obs), svd_full(pert.matrix))
     return kalman_gain(pert, obs, eig)
 
 
@@ -283,6 +282,17 @@ def test_analyze_raises_on_overflow(covariance):
         analyze(ForecastEnsemble.from_members(members), obs)
 
 
+@pytest.mark.parametrize("covariance", [np.eye(4), np.ones(4)], ids=["dense", "vector"])
+def test_analyze_raises_when_observed_spread_overflows(covariance):
+    # fully observed: the exact posterior (covariance about R, mean about y)
+    # fits in float64, but g = s**2 overflows and x_f + Z w would cancel;
+    # until both are mended the analysis must fail loudly
+    members = np.random.default_rng(0).standard_normal((4, 6)) * 1e160
+    obs = ObservationModel(operator=np.eye(4), covariance=covariance, observation=np.ones(4))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        analyze(ForecastEnsemble.from_members(members), obs)
+
+
 def test_analyze_deterministic():
     inst = random_instance(123, "generic")
     a = analyze(inst.ensemble, inst.observation)
@@ -297,6 +307,13 @@ def test_analyze_deterministic():
 # ------------------------------------------------------------------ theorems
 
 
+def rect_sigma(factors):
+    """The paper's rectangular (r, m) singular-value factor of an SvdFactors."""
+    sig = np.zeros((factors.rank, factors.right.shape[0]))
+    sig[np.arange(factors.rank), np.arange(factors.rank)] = factors.singular_values
+    return sig
+
+
 def test_truncation_identity():
     # with the ordering contract in force, appending the rank truncation
     # pinv(sig) @ sig changes nothing: the truncated columns are already zero
@@ -307,12 +324,34 @@ def test_truncation_identity():
             continue
         f = svd_full(pert.matrix)
         y = project_observations(pert, inst.observation)
-        eig = ordered_eig_psd(y, f.row_space_basis(), f.null_space_basis())
+        eig = ordered_eig_psd(y, f)
         scaled = pert.matrix @ (eig.vectors / np.sqrt(1.0 + eig.values)[None, :])
-        truncation = pinv_rect_diag(f.sigma_rect) @ f.sigma_rect
+        sig = rect_sigma(f)
+        truncation = pinv_rect_diag(sig) @ sig
         np.testing.assert_allclose(
             scaled @ truncation, scaled, atol=1e-12 * max(np.linalg.norm(scaled), 1.0)
         )
+
+
+@pytest.mark.parametrize("mode", [MODE_CORRECT, MODE_MISORDERED])
+def test_rank_cut_equals_pinv_product(mode):
+    # the transform keeps the leading rank columns of the (permuted) scaled
+    # eigenvectors, which is exactly what pinv(sig) @ sig does
+    for seed in range(40):
+        inst = random_instance(seed, ALL_CATEGORIES[seed % len(ALL_CATEGORIES)])
+        pert = perturbation_matrix(inst.ensemble)
+        adj = adjustment_matrix(pert, inst.observation, mode, seed=seed)
+        f = adj.svd
+        sig = rect_sigma(f)
+        truncation = pinv_rect_diag(sig) @ sig
+        # (1 / s) * s is 1 only to rounding
+        projector = np.diag(np.arange(pert.size) < f.rank)
+        np.testing.assert_allclose(truncation, projector, rtol=0, atol=1e-15)
+        perm = np.arange(pert.size) if adj.permutation is None else adj.permutation
+        scaled = adj.eig.vectors[:, perm] / np.sqrt(1.0 + adj.eig.values[perm])
+        expected = scaled @ truncation @ f.right.T
+        atol = 1e-14 * max(np.linalg.norm(expected), 1.0)
+        np.testing.assert_allclose(adj.transform, expected, rtol=0, atol=atol)
 
 
 def test_misordering_under_disperses():
@@ -353,12 +392,13 @@ def test_sign_convention_invariance_of_posterior():
         for j in range(f.rank, right.shape[1]):
             if rng.random() < 0.5:
                 right[:, j] *= -1.0
-        flipped = SvdFactors(left=left, sigma_rect=f.sigma_rect, right=right, rank=f.rank)
+        flipped = SvdFactors(left=left, singular_values=f.singular_values, right=right)
 
         def posterior(factors):
-            eig = ordered_eig_psd(y, factors.row_space_basis(), factors.null_space_basis())
+            eig = ordered_eig_psd(y, factors)
             scaled = eig.vectors / np.sqrt(1.0 + eig.values)[None, :]
-            t = scaled @ pinv_rect_diag(factors.sigma_rect) @ factors.sigma_rect @ factors.right.T
+            sig = rect_sigma(factors)
+            t = scaled @ pinv_rect_diag(sig) @ sig @ factors.right.T
             za = pert.matrix @ t
             return za @ za.T
 
