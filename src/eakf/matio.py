@@ -2,6 +2,11 @@
 
 Values are written with 17 significant digits so a write/read round trip
 reproduces every float64 bit pattern. Vectors are single-column files.
+
+Files are parsed by numpy's reader (``np.loadtxt``) in one call. Blank and
+whitespace-only lines are skipped; there are no comment lines, so a ``#``
+line is an error like any other unparsable row. Errors cite the 1-based line
+of the file, counting the skipped lines.
 """
 
 from __future__ import annotations
@@ -17,13 +22,48 @@ class MatrixFileError(ValueError):
 
 def write_matrix(path, matrix) -> None:
     arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
-    lines = [",".join(f"{v:.17g}" for v in row) for row in arr]
+    row_format = ",".join(["%.17g"] * arr.shape[1])
+    lines = [row_format % tuple(row) for row in arr.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_vector(path, vector) -> None:
     arr = np.asarray(vector, dtype=np.float64).reshape(-1, 1)
     write_matrix(path, arr)
+
+
+def _parse(lines: list[str]) -> np.ndarray:
+    # comments=None: the default "#" would silently skip lines that are errors.
+    return np.loadtxt(lines, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+
+
+def _parses(text: str) -> bool:
+    try:
+        _parse([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _row_error(path: Path, numbered: list[tuple[int, str]]) -> MatrixFileError:
+    """The error for the first line, in file order, that the reader refuses."""
+    width: int | None = None
+    for index, line in numbered:
+        fields = line.split(",")
+        if not _parses(line):
+            for field in fields:
+                try:
+                    float(field)
+                except ValueError as exc:
+                    return MatrixFileError(f"{path}: row {index}: {exc}")
+            # float() accepts some spellings the reader refuses, e.g. "1_0".
+            bad = next((field for field in fields if not _parses(field)), line)
+            return MatrixFileError(f"{path}: row {index}: could not convert string to float: {bad!r}")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            return MatrixFileError(f"{path}: row {index} has {len(fields)} entries, expected {width}")
+    return MatrixFileError(f"{path}: cannot parse matrix file")
 
 
 def read_matrix(path) -> np.ndarray:
@@ -33,26 +73,13 @@ def read_matrix(path) -> np.ndarray:
         text = path.read_text()
     except OSError as exc:
         raise MatrixFileError(f"{path}: cannot read file ({exc})") from exc
-    rows: list[list[float]] = []
-    width: int | None = None
-    for index, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        try:
-            values = [float(field) for field in fields]
-        except ValueError as exc:
-            raise MatrixFileError(f"{path}: row {index}: {exc}") from exc
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise MatrixFileError(
-                f"{path}: row {index} has {len(values)} entries, expected {width}"
-            )
-        rows.append(values)
-    if not rows:
+    numbered = [(index, line) for index, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if not numbered:
         raise MatrixFileError(f"{path}: empty matrix file")
-    arr = np.array(rows, dtype=np.float64)
+    try:
+        arr = _parse([line for _, line in numbered])
+    except ValueError:
+        raise _row_error(path, numbered) from None
     if not np.all(np.isfinite(arr)):
         raise MatrixFileError(f"{path}: entries must be finite")
     return arr

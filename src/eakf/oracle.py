@@ -72,10 +72,11 @@ def posterior_cov_direct(forecast_cov, obs: ObservationModel) -> np.ndarray:
     if obs.state_dim != n:
         raise ValueError("observation operator inconsistent with forecast covariance")
     h = obs.operator
-    innovation_cov = h @ pf @ h.T + _dense_error_cov(obs)
+    hpf = h @ pf
+    innovation_cov = hpf @ h.T + _dense_error_cov(obs)
     # K.T = inv(H P_f H.T + R) @ H @ P_f
-    gain_t = _spd_solve(innovation_cov, h @ pf, "innovation covariance")
-    return symmetrize(pf - gain_t.T @ (h @ pf))
+    gain_t = _spd_solve(innovation_cov, hpf, "innovation covariance")
+    return symmetrize(pf - gain_t.T @ hpf)
 
 
 def posterior_cov_reduced(pert: PerturbationMatrix, obs: ObservationModel) -> np.ndarray:

@@ -136,16 +136,21 @@ def test_assimilate_scalar_misordered(tmp_path):
     assert report["comparison"]["trace_deficit"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_assimilate_ragged_csv(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "name, text",
+    [("E.csv", "1,-1\n2\n"), ("H.csv", "\nabc\n")],
+    ids=["ragged-ensemble", "non-numeric-operator"],
+)
+def test_assimilate_ragged_csv(tmp_path, capsys, name, text):
     files = write_scalar_inputs(tmp_path)
-    (tmp_path / "E.csv").write_text("1,-1\n2\n")
+    (tmp_path / name).write_text(text)
     argv = ["assimilate"]
     for flag, value in files.items():
         argv += [flag, value]
     argv += ["--out-prefix", str(tmp_path / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert "row 2" in err
+    assert f"{name}: row 2" in err
 
 
 def test_assimilate_shape_mismatch(tmp_path, capsys):
