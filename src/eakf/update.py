@@ -27,7 +27,10 @@ coordinates, so this is the rank-``r`` cut
 which is all this module forms. ``S = Y.T @ Y`` is not formed either: ``g``
 and ``C`` come from an SVD of the whitened ``Y = inv(L) H Z`` (``R = L L.T``;
 the observation model factors ``R`` once and whitens), and so do the mean
-update and, on request, the Kalman gain.
+update and, on request, the Kalman gain. Nor is the ``(n, n)`` covariance
+``Za @ Za.T``: :class:`AnalysisResult` forms it the first time it is read, so
+:func:`analyze` costs ``O((n + p) m^2 + p n m)`` time and ``O((n + p) m)``
+memory.
 
 Two implementation details decide whether this is exact or silently wrong:
 
@@ -80,22 +83,59 @@ class AdjustmentMatrix:
     permutation: np.ndarray | None = None
 
 
+class _CovarianceOnRead:
+    """``AnalysisResult.covariance``: ``Za @ Za.T``, formed on first read and cached.
+
+    A dataclass field whose default is this data descriptor: ``__init__`` and
+    ``dataclasses.replace`` hand their value to ``__set__``, which keeps a
+    given array as given and leaves the default (the descriptor itself) unset.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        cov = obj.__dict__.get(self.name)
+        if cov is None:
+            za = obj.perturbations
+            # numpy evaluates a @ a.T as a symmetric rank-k update, so the
+            # product is exactly symmetric without a symmetrizing copy.
+            cov = obj.__dict__[self.name] = za @ za.T
+        return cov
+
+    def __set__(self, obj, value):
+        if value is not self:
+            obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class AnalysisResult:
-    """Analysis mean, scaled perturbations and covariance.
+    """Analysis mean and scaled perturbations; the covariance on request.
+
+    ``covariance`` is the ``(n, n)`` posterior ``Za @ Za.T``. It is formed the
+    first time it is read, then kept; a value passed to the constructor is
+    kept as given. ``dataclasses.replace`` reads every field it is not given,
+    so replacing another field forms the covariance.
 
     The mean and the covariance diagonal must be finite: an analysis that
-    overflows float64 raises instead of passing on ``inf`` or ``nan``.
+    overflows float64 raises instead of passing on ``inf`` or ``nan``. The
+    diagonal is checked as the row sums of squares of ``Za``, in ``O(n m)``,
+    unless a covariance was given.
     """
 
     mean: np.ndarray
     perturbations: np.ndarray
-    covariance: np.ndarray
+    covariance: np.ndarray = _CovarianceOnRead()
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(np.diagonal(self.covariance)))):
-            raise ValueError("analysis mean or covariance not finite in float64")
         za = self.perturbations
+        given = vars(self).get("covariance")
+        # einsum raises no overflow warning; an overflowed square reads inf
+        diagonal = np.einsum("ij,ij->i", za, za) if given is None else np.diagonal(given)
+        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(diagonal))):
+            raise ValueError("analysis mean or covariance not finite in float64")
         row_sums = za.sum(axis=1)
         if frobenius(row_sums) > 1e-12 * max(frobenius(za), 1.0):
             raise ValueError("analysis perturbation rows must sum to zero")
@@ -226,8 +266,10 @@ def analyze(
     the innovation and an ``m``-vector of weights (so in misordered mode too
     the mean is the exact Kalman mean). :func:`kalman_gain` gives ``K``.
 
+    The result's ``covariance`` is not formed here; see :class:`AnalysisResult`.
+
     Raises ValueError when the analysis overflows float64 (the mean or the
-    covariance diagonal is not finite).
+    row sums of squares of ``Za``, the covariance diagonal, are not finite).
     """
     pert = perturbation_matrix(ens)
     adj = adjustment_matrix(pert, obs, mode, seed=seed)
@@ -240,6 +282,4 @@ def analyze(
     # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
     za -= za.mean(axis=1, keepdims=True)
-    # numpy evaluates a @ a.T as a symmetric rank-k update, so the product
-    # is exactly symmetric without a symmetrizing copy of an (n, n) array.
-    return AnalysisResult(mean=mean_a, perturbations=za, covariance=za @ za.T)
+    return AnalysisResult(mean=mean_a, perturbations=za)

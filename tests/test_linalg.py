@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from eakf.ensemble import perturbation_matrix
+from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import ordered_eig_psd, pinv_rect_diag, svd_full
 
 RNG_SHAPES = [(1, 2), (2, 2), (3, 5), (5, 3), (4, 12), (20, 12), (12, 7)]
@@ -45,6 +47,17 @@ def test_svd_reconstruction_and_orthogonality(shape):
     np.testing.assert_allclose(f.right.T @ f.right, np.eye(shape[1]), atol=1e-13)
     np.testing.assert_allclose(f.right @ f.right.T, np.eye(shape[1]), atol=1e-13)
     assert f.rank <= min(shape)
+
+
+@pytest.mark.parametrize("category", ALL_CATEGORIES)
+def test_svd_of_perturbations_is_orthonormal(category):
+    # SvdFactors does not re-check this on construction; these are the
+    # thresholds it used, on the matrices analyze factors
+    for seed in range(20):
+        f = svd_full(perturbation_matrix(random_instance(seed, category).ensemble).matrix)
+        r, m = f.rank, f.right.shape[0]
+        assert np.linalg.norm(f.left.T @ f.left - np.eye(r)) <= 1e-10 * max(r, 1), (category, seed)
+        assert np.linalg.norm(f.right.T @ f.right - np.eye(m)) <= 1e-10 * max(m, 1), (category, seed)
 
 
 def test_svd_rank_deficient_input():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import eakf.twin
 from eakf.twin import TwinConfig, run_twin
 
 
@@ -27,6 +28,23 @@ def test_deterministic_metrics():
     a = run_twin(TwinConfig(steps=40, seed=11))
     b = run_twin(TwinConfig(steps=40, seed=11))
     assert a == b
+
+
+def test_spread_is_the_trace_of_the_analysis_covariance(monkeypatch):
+    results = []
+    analyze = eakf.twin.analyze
+
+    def recording_analyze(*args, **kwargs):
+        results.append(analyze(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(eakf.twin, "analyze", recording_analyze)
+    cfg = TwinConfig(steps=50, n=20, m=8, seed=4)
+    report = run_twin(cfg)
+    assert len(results) == len(report["series"])
+    for row, res in zip(report["series"], results):
+        expected = np.sqrt(np.trace(res.covariance) / cfg.n)
+        assert abs(row["spread"] - expected) <= 1e-15 * expected, row
 
 
 def test_obs_every_thins_series():

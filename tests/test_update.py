@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -217,11 +218,10 @@ def test_analyze_row_sums():
         assert np.linalg.norm(za.sum(axis=1)) <= 1e-12 * max(np.linalg.norm(za), 1.0)
 
 
-@pytest.mark.parametrize("n, m, p", [(2000, 20, 200), (200, 20, 2000)])
+@pytest.mark.parametrize("n, m, p", [(2000, 20, 200), (200, 20, 2000), (20000, 10, 100)])
 def test_analyze_peak_memory(n, m, p):
-    # the covariance (n x n) is the only large array analyze forms: no n x n
-    # factor or adjustment, no n x p gain, no p x p matrix; the rest is a
-    # few (n + p) x m arrays
+    # analyze forms no n x n covariance, factor or adjustment, no n x p gain
+    # and no p x p matrix, only a few (n + p) x m arrays
     rng = np.random.default_rng(0)
     ens = ForecastEnsemble.from_members(rng.standard_normal((n, m)))
     obs = ObservationModel(
@@ -235,8 +235,24 @@ def test_analyze_peak_memory(n, m, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < res.covariance.nbytes + 8 * (n + p) * m * 8, peak
-    np.testing.assert_array_equal(res.covariance, res.covariance.T)
+    assert peak < 8 * (n + p) * m * 8, peak
+    # at n = 20000 the covariance would take 3.2 GB: only the small cases read it
+    if n <= 2000:
+        np.testing.assert_array_equal(res.covariance, res.covariance.T)
+
+
+def test_analyze_covariance_formed_on_read():
+    inst = random_instance(5, "generic")
+    res = analyze(inst.ensemble, inst.observation)
+    za = res.perturbations
+    cov = res.covariance
+    np.testing.assert_array_equal(cov, za @ za.T)
+    np.testing.assert_array_equal(cov, cov.T)
+    assert res.covariance is cov
+    given = np.zeros_like(cov)
+    assert dataclasses.replace(res, covariance=given).covariance is given
+    with pytest.raises(ValueError, match="not finite"):
+        dataclasses.replace(res, covariance=np.full_like(cov, np.inf))
 
 
 @pytest.mark.parametrize("category", ALL_CATEGORIES)
