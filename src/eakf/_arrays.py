@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Floor used when turning an absolute difference into a relative one, so that
@@ -16,7 +18,7 @@ def require_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D array, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite (no NaN/Inf)")
     return arr
 
@@ -28,7 +30,7 @@ def require_vector(a, name: str = "vector") -> np.ndarray:
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name}: expected a 1-D array, got shape {arr.shape}")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if arr.size and not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite (no NaN/Inf)")
     return arr
 
@@ -44,8 +46,9 @@ def frobenius(a: np.ndarray) -> float:
     if norm == np.inf:
         scale = float(np.max(np.abs(a)))
         norm = scale * float(np.linalg.norm(a / scale))
-        if not np.isfinite(norm):
-            raise ValueError("Frobenius norm is not finite in float64")
+    # a nan norm would pass every guard ``x > tol * y`` unnoticed
+    if not math.isfinite(norm):
+        raise ValueError("Frobenius norm is not finite in float64")
     return norm
 
 

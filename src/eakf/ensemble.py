@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from ._arrays import frobenius, require_matrix, require_vector, symmetrize
 
@@ -94,8 +94,10 @@ class ObservationModel:
     variances for a diagonal ``R``, which is never expanded. ``cholesky`` is
     the lower factor ``L`` of ``R = L @ L.T``, computed once at construction
     (which validates positive definiteness): the (p,) standard deviations for
-    a vector, otherwise a (p, p) matrix kept in Fortran order so triangular
-    solves read it in place. :meth:`whiten` applies ``inv(L)``.
+    a vector, otherwise LAPACK's ``potrf`` factor, a (p, p) matrix in Fortran
+    order with zeros above the diagonal. :meth:`whiten` applies ``inv(L)``,
+    through LAPACK's ``trtrs`` for a matrix. Both routines are called
+    directly: at small ``p`` scipy's wrappers cost several times the solve.
     """
 
     operator: np.ndarray
@@ -143,20 +145,25 @@ class ObservationModel:
         factor = self.cholesky
         if factor.ndim == 1:
             return rhs / (factor[:, None] if rhs.ndim == 2 else factor)
-        return sla.solve_triangular(factor, rhs, lower=True, trans=trans, check_finite=False)
+        if not factor.size:
+            # LAPACK rejects an empty triangle; p = 0 leaves nothing to solve
+            return np.empty_like(rhs)
+        # info is nonzero only for a zero on the diagonal, which potrf rules out
+        solved, _ = dtrtrs(factor, rhs, lower=1, trans=("N", "T").index(trans))
+        return solved
 
 
 def _error_factor(cov: np.ndarray) -> np.ndarray:
     """Lower factor of ``R``: standard deviations for variances, else Cholesky."""
     message = "observation error covariance R not positive definite"
     if cov.ndim == 1:
-        if not np.all(cov > 0.0):
+        if not (cov > 0.0).all():
             raise np.linalg.LinAlgError(message)
         return np.sqrt(cov)
-    try:
-        return np.asfortranarray(sla.cholesky(cov, lower=True, check_finite=False))
-    except sla.LinAlgError as exc:
-        raise np.linalg.LinAlgError(message) from exc
+    factor, info = dpotrf(cov, lower=1, clean=1)
+    if info:
+        raise np.linalg.LinAlgError(message)
+    return factor
 
 
 def perturbation_matrix(ens: ForecastEnsemble) -> PerturbationMatrix:

@@ -76,7 +76,7 @@ class SvdFactors:
         if self.right.shape != (m, m):
             raise ValueError("SvdFactors: right factor must be square")
         sigma = self.singular_values
-        if r and (np.any(sigma <= 0.0) or np.any(np.diff(sigma) > 0.0)):
+        if r and ((sigma <= 0.0).any() or (sigma[1:] > sigma[:-1]).any()):
             raise ValueError("SvdFactors: singular values must be positive and descending")
 
     @property
@@ -119,9 +119,10 @@ class OrderedEigen:
             raise ValueError("OrderedEigen: values length must match vectors")
         if self.obs_vectors.ndim != 2 or self.obs_vectors.shape[1] > m:
             raise ValueError("OrderedEigen: obs_vectors must have at most m columns")
-        if np.any(self.values < 0.0):
+        values = self.values
+        if (values < 0.0).any():
             raise ValueError("OrderedEigen: values must be nonnegative")
-        if np.any(np.diff(self.values) > 0.0):
+        if (values[1:] > values[:-1]).any():
             raise ValueError("OrderedEigen: values must be descending")
 
     def reconstruct(self) -> np.ndarray:

@@ -10,9 +10,10 @@ the Woodbury form
 
 These serve as the oracle for the adjustment-based update, so this module
 deliberately shares no decomposition code with :mod:`eakf.update`: every
-route works through plain Cholesky solves on the matrices as written. An
-oracle that reused the SVD/eigendecomposition pipeline could inherit the
-very ordering bug it is supposed to catch.
+route works through plain Cholesky solves on the matrices as written,
+LAPACK's ``potrf`` and ``potrs`` called directly. An oracle that reused the
+SVD/eigendecomposition pipeline could inherit the very ordering bug it is
+supposed to catch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from ._arrays import REL_NORM_FLOOR, frobenius, require_matrix, symmetrize
 from .ensemble import ObservationModel, PerturbationMatrix
@@ -49,12 +50,30 @@ class ComparisonReport:
         return asdict(self)
 
 
+# The message of scipy's ``check_finite`` error
+_NOT_FINITE = "array must not contain infs or NaNs"
+
+
 def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    try:
-        factor = sla.cho_factor(symmetrize(matrix), lower=True)
-    except sla.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"{what} not positive definite") from exc
-    return sla.cho_solve(factor, rhs)
+    """``inv(matrix) @ rhs`` by Cholesky; ``what`` names the matrix in errors.
+
+    A matrix or right-hand side that overflowed float64 raises ValueError
+    before it reaches LAPACK, which may factor an inf without complaint or
+    report a nan as an indefinite matrix.
+    """
+    matrix = symmetrize(matrix)
+    if not np.isfinite(matrix).all():
+        raise ValueError(_NOT_FINITE)
+    factor, info = dpotrf(matrix, lower=1, clean=0)
+    if info:
+        raise np.linalg.LinAlgError(f"{what} not positive definite")
+    if not np.isfinite(rhs).all():
+        raise ValueError(_NOT_FINITE)
+    if not rhs.size:
+        # LAPACK rejects an empty system; p = 0 leaves nothing to solve
+        return np.empty_like(rhs)
+    solved, _ = dpotrs(factor, rhs, lower=1)
+    return solved
 
 
 def _dense_error_cov(obs: ObservationModel) -> np.ndarray:
@@ -113,15 +132,15 @@ def compare_cov(lhs, rhs, tolerance: float = 1e-10) -> ComparisonReport:
     diff = a - b
     fro_abs = frobenius(diff)
     fro_rel = fro_abs / max(frobenius(b), REL_NORM_FLOOR)
-    trace_lhs = float(np.trace(a))
-    trace_rhs = float(np.trace(b))
+    trace_lhs = float(a.trace())
+    trace_rhs = float(b.trace())
     return ComparisonReport(
         frobenius_abs=fro_abs,
         frobenius_rel=fro_rel,
         trace_lhs=trace_lhs,
         trace_rhs=trace_rhs,
         trace_deficit=trace_rhs - trace_lhs,
-        max_abs_entry_diff=float(np.max(np.abs(diff))) if diff.size else 0.0,
+        max_abs_entry_diff=float(np.abs(diff).max()) if diff.size else 0.0,
         tolerance=tolerance,
         passed=bool(fro_rel <= tolerance),
     )

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .ensemble import ForecastEnsemble, ObservationModel, reconstruct_members
+from .ensemble import ForecastEnsemble, ObservationModel
 from .update import MODE_CORRECT, analyze
 
 SCHEMA_VERSION = 1
@@ -75,7 +75,7 @@ def run_twin(cfg: TwinConfig) -> dict:
             operator=operator, covariance=obs_variances, observation=observation
         )
         result = analyze(ForecastEnsemble.from_members(members), model, MODE_CORRECT)
-        members = reconstruct_members(result.mean, result.perturbations).members
+        members = result.members()
         rmse = float(np.linalg.norm(result.mean - truth) / np.sqrt(cfg.n))
         # trace(Za @ Za.T) without forming the (n, n) covariance
         spread = float(np.sqrt(np.sum(result.perturbations**2) / cfg.n))

@@ -134,7 +134,7 @@ class AnalysisResult:
         given = vars(self).get("covariance")
         # einsum raises no overflow warning; an overflowed square reads inf
         diagonal = np.einsum("ij,ij->i", za, za) if given is None else np.diagonal(given)
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(diagonal))):
+        if not (np.isfinite(self.mean).all() and np.isfinite(diagonal).all()):
             raise ValueError("analysis mean or covariance not finite in float64")
         row_sums = za.sum(axis=1)
         if frobenius(row_sums) > 1e-12 * max(frobenius(za), 1.0):

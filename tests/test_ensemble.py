@@ -2,16 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from eakf._arrays import frobenius
+from eakf._arrays import frobenius, symmetrize
 from eakf.ensemble import (
     ForecastEnsemble,
     ObservationModel,
     PerturbationMatrix,
+    _error_factor,
     forecast_cov,
     perturbation_matrix,
     reconstruct_members,
 )
+
+
+def spd_matrix(p: int, seed: int) -> np.ndarray:
+    g = np.random.default_rng(seed).standard_normal((p, p))
+    return symmetrize(g @ g.T) + p * np.eye(p)
 
 
 def test_perturbation_two_members():
@@ -67,6 +74,11 @@ def test_guards_hold_near_overflow():
         PerturbationMatrix(matrix=np.array([[1e200, 1e200]]), scale_members=2)
     with pytest.raises(ValueError, match="average"):
         ForecastEnsemble(members=np.array([[1e200, -1e200]]), mean=np.array([1e200]))
+
+
+def test_frobenius_raises_on_nan():
+    with pytest.raises(ValueError, match="not finite"):
+        frobenius(np.array([np.nan]))
 
 
 def test_forecast_cov_examples():
@@ -161,6 +173,35 @@ def test_observation_model_not_spd():
             covariance=np.array([[1.0, 2.0], [2.0, 1.0]]),
             observation=np.zeros(2),
         )
+    with pytest.raises(np.linalg.LinAlgError, match="^observation error covariance R not positive definite$"):
+        ObservationModel(operator=np.eye(2), covariance=np.zeros((2, 2)), observation=np.zeros(2))
+
+
+@pytest.mark.parametrize("covariance", [np.zeros((0, 0)), np.zeros(0)], ids=["dense", "vector"])
+def test_observation_model_without_observations(covariance):
+    model = ObservationModel(operator=np.zeros((0, 3)), covariance=covariance, observation=[])
+    assert model.obs_dim == 0 and model.cholesky.shape == covariance.shape
+    assert model.whiten(np.zeros((0, 4))).shape == (0, 4)
+    assert model.whiten(np.zeros(0), trans="T").shape == (0,)
+
+
+@pytest.mark.parametrize("p", [1, 5, 20, 200])
+def test_error_factor_is_the_scipy_cholesky(p):
+    cov = spd_matrix(p, p)
+    factor = _error_factor(cov)
+    assert np.array_equal(factor, sla.cholesky(cov, lower=True))
+    assert factor.flags.f_contiguous
+    assert not np.triu(factor, 1).any()
+
+
+@pytest.mark.parametrize("trans", ["N", "T"])
+@pytest.mark.parametrize("p", [1, 5, 20, 200])
+def test_whiten_is_the_scipy_triangular_solve(p, trans):
+    rng = np.random.default_rng(p)
+    model = ObservationModel(operator=np.ones((p, 3)), covariance=spd_matrix(p, p), observation=np.zeros(p))
+    for rhs in (rng.standard_normal(p), rng.standard_normal((p, 7))):
+        expected = sla.solve_triangular(model.cholesky, rhs, lower=True, trans=trans)
+        assert np.array_equal(model.whiten(rhs, trans=trans), expected)
 
 
 def test_observation_model_not_symmetric():

@@ -3,7 +3,7 @@ import pytest
 
 from eakf.ensemble import perturbation_matrix
 from eakf.instances import ALL_CATEGORIES, random_instance
-from eakf.linalg import ordered_eig_psd, pinv_rect_diag, svd_full
+from eakf.linalg import OrderedEigen, SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
 
 RNG_SHAPES = [(1, 2), (2, 2), (3, 5), (5, 3), (4, 12), (20, 12), (12, 7)]
 
@@ -146,6 +146,28 @@ def test_svd_errors():
         svd_full(np.ones(3))
 
 
+@pytest.mark.parametrize(
+    "sigma", [[1.0, 0.0], [1.0, -1.0], [1.0, 2.0]], ids=["zero", "negative", "ascending"]
+)
+def test_svd_factors_reject_bad_singular_values(sigma):
+    with pytest.raises(ValueError, match="singular values must be positive and descending"):
+        SvdFactors(left=np.zeros((3, 2)), singular_values=np.array(sigma), right=np.eye(3))
+
+
+@pytest.mark.parametrize(
+    ("values", "message"),
+    [
+        ([2.0, 1.0, -1.0], "nonnegative"),
+        ([-1.0, 0.0, 1.0], "nonnegative"),
+        ([0.0, 1.0, 2.0], "descending"),
+    ],
+    ids=["negative", "negative-and-ascending", "ascending"],
+)
+def test_ordered_eigen_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=f"values must be {message}"):
+        OrderedEigen(vectors=np.eye(3), values=np.array(values), obs_vectors=np.zeros((2, 2)))
+
+
 def test_pinv_examples():
     np.testing.assert_allclose(
         pinv_rect_diag(np.array([[np.sqrt(2.0), 0.0]])),
@@ -270,3 +292,13 @@ def test_ordered_eig_errors():
         ordered_eig_psd(np.ones((1, 3)), f)
     with pytest.raises(ValueError, match="2-D"):
         ordered_eig_psd(y[0], f)
+
+
+def test_ordered_eig_rejects_a_nan_null_basis():
+    # a nan norm compares False with any tolerance; the check must not pass it
+    f = svd_full(np.array([[1.0, -1.0]]))
+    right = f.right.copy()
+    right[0, -1] = np.nan
+    bad = SvdFactors(left=f.left, singular_values=f.singular_values, right=right)
+    with pytest.raises(ValueError, match="not finite"):
+        ordered_eig_psd(np.array([[1.0, -1.0]]) / np.sqrt(2.0), bad)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
+from eakf._arrays import symmetrize
 from eakf.ensemble import (
     ForecastEnsemble,
     ObservationModel,
@@ -10,6 +12,7 @@ from eakf.ensemble import (
 )
 from eakf.instances import random_instance
 from eakf.oracle import (
+    _spd_solve,
     compare_cov,
     posterior_cov_direct,
     posterior_cov_reduced,
@@ -144,3 +147,68 @@ def test_routes_take_variance_vector_as_diagonal(seed):
     ):
         expected = route(dense)
         assert np.linalg.norm(route(vector) - expected) <= 1e-13 * max(np.linalg.norm(expected), 1e-300)
+
+
+ROUTES = {
+    "direct": lambda pert, obs: posterior_cov_direct(forecast_cov(pert), obs),
+    "reduced": posterior_cov_reduced,
+    "woodbury": posterior_cov_woodbury,
+}
+
+
+def swamped_pieces():
+    # H Z Z.T H.T = 2**70 [[1, -1], [-1, 1]] absorbs R = I in rounding, so
+    # every route's system is exactly singular in float64
+    c = 2.0**34
+    pert = PerturbationMatrix(matrix=np.array([[c, -c, c, -c], [-c, c, -c, c]]), scale_members=4)
+    obs = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
+    return pert, obs
+
+
+@pytest.mark.parametrize(
+    ("route", "what"),
+    [
+        ("direct", "innovation covariance"),
+        ("reduced", "reduced-form innovation covariance"),
+        ("woodbury", "ensemble-space Woodbury matrix"),
+    ],
+)
+def test_routes_name_the_matrix_that_is_not_positive_definite(route, what):
+    pert, obs = swamped_pieces()
+    with pytest.raises(np.linalg.LinAlgError, match=f"^{what} not positive definite$"):
+        ROUTES[route](pert, obs)
+
+
+def test_woodbury_names_an_indefinite_error_covariance():
+    # the model validates R, so replace it after construction
+    pert = perturbation_matrix(ForecastEnsemble.from_members(np.random.default_rng(0).standard_normal((2, 5))))
+    obs = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
+    object.__setattr__(obs, "covariance", np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="^observation error covariance R not positive definite$"):
+        posterior_cov_woodbury(pert, obs)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_routes_raise_on_overflow(route):
+    pert = perturbation_matrix(ForecastEnsemble.from_members(np.random.default_rng(0).standard_normal((3, 5))))
+    obs = ObservationModel(operator=1e200 * np.eye(3), covariance=np.eye(3), observation=np.zeros(3))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+        ROUTES[route](pert, obs)
+
+
+@pytest.mark.parametrize("covariance", [np.zeros((0, 0)), np.zeros(0)], ids=["dense", "vector"])
+def test_routes_without_observations_return_the_forecast(covariance):
+    pert = perturbation_matrix(ForecastEnsemble.from_members(np.random.default_rng(0).standard_normal((3, 5))))
+    obs = ObservationModel(operator=np.zeros((0, 3)), covariance=covariance, observation=[])
+    for route in ROUTES.values():
+        assert np.array_equal(route(pert, obs), forecast_cov(pert))
+
+
+@pytest.mark.parametrize("p", [1, 5, 20, 200])
+def test_spd_solve_is_the_scipy_cholesky_solve(p):
+    rng = np.random.default_rng(p)
+    g = rng.standard_normal((p, p))
+    matrix = symmetrize(g @ g.T) + p * np.eye(p)
+    for rhs in (rng.standard_normal(p), rng.standard_normal((p, 7))):
+        expected = sla.cho_solve(sla.cho_factor(matrix, lower=True), rhs)
+        assert np.array_equal(_spd_solve(matrix, rhs, "matrix"), expected)
