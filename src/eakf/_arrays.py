@@ -10,6 +10,9 @@ import numpy as np
 # comparisons against an exactly zero reference are well defined.
 REL_NORM_FLOOR = 1e-300
 
+# Smallest norm whose squared entries sum without underflow error
+_MIN_UNSCALED_NORM = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+
 
 def require_matrix(a, name: str = "matrix") -> np.ndarray:
     """Return ``a`` as a finite float64 2-D array, raising ValueError otherwise."""
@@ -39,12 +42,15 @@ def frobenius(a: np.ndarray) -> float:
     """Frobenius norm of ``a``; raises ValueError if it does not fit in float64.
 
     Squares overflow once entries pass about 1e154, and a guard ``x > tol * inf``
-    then checks nothing, so only then is the norm recomputed on ``a`` scaled by
-    its largest entry (numpy's overflow warning is left unsuppressed).
+    then checks nothing; they lose precision to underflow once the norm falls
+    below ``sqrt(tiny / eps)``, about 1e-146, and read 0 near 1e-162. Only then
+    is the norm recomputed on ``a`` scaled by its largest entry (numpy's
+    overflow warning is left unsuppressed).
     """
     norm = float(np.linalg.norm(a))
-    if norm == np.inf:
-        scale = float(np.max(np.abs(a)))
+    # count_nonzero keeps the common exact zero (a centered residual) cheap
+    if (norm == np.inf or norm < _MIN_UNSCALED_NORM) and np.count_nonzero(a):
+        scale = float(np.abs(a).max())
         norm = scale * float(np.linalg.norm(a / scale))
     # a nan norm would pass every guard ``x > tol * y`` unnoticed
     if not math.isfinite(norm):

@@ -13,12 +13,10 @@ import numpy as np
 
 from .ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from .instances import RANK_DEFICIENT, random_instance
-from .oracle import compare_cov, posterior_cov_direct
+from .oracle import TOLERANCE, compare_cov, posterior_cov_direct
 from .update import MODE_CORRECT, MODE_MISORDERED, analyze
 
 SCHEMA_VERSION = 1
-# Largest relative Frobenius error of the correct-mode covariance.
-TOLERANCE = 1e-10
 
 
 def scalar_instance() -> tuple[ForecastEnsemble, ObservationModel]:
@@ -52,7 +50,7 @@ def run_pitfall_demo(seed: int) -> dict:
         oracle_cov = posterior_cov_direct(forecast_cov(pert), model)
         correct = analyze(ensemble, model, MODE_CORRECT)
         misordered = analyze(ensemble, model, MODE_MISORDERED, seed=seed)
-        correct_cmp = compare_cov(correct.covariance, oracle_cov, TOLERANCE)
+        correct_cmp = compare_cov(correct.covariance, oracle_cov)
         deficit = float(np.trace(oracle_cov) - np.trace(misordered.covariance))
         ok = correct_cmp.passed and deficit > 0.0
         all_ok = all_ok and ok

@@ -38,7 +38,7 @@ class ForecastEnsemble:
         if mean.shape != (n,):
             raise ValueError(f"mean length {mean.shape[0]} does not match state dimension {n}")
         actual = members.mean(axis=1)
-        if frobenius(mean - actual) > 1e-14 * max(frobenius(members), 1.0):
+        if frobenius(mean - actual) > 1e-14 * frobenius(members):
             raise ValueError("mean is not the row-wise average of the members")
 
     @classmethod
@@ -74,7 +74,7 @@ class PerturbationMatrix:
         if arr.shape[1] != self.scale_members:
             raise ValueError("column count does not match scale_members")
         row_sums = arr.sum(axis=1)
-        if frobenius(row_sums) > 1e-13 * max(frobenius(arr), 1.0):
+        if frobenius(row_sums) > 1e-13 * frobenius(arr):
             raise ValueError("perturbations not centered: rows must sum to zero")
 
     @property
@@ -109,11 +109,11 @@ class ObservationModel:
         operator = require_matrix(self.operator, "observation operator")
         observation = require_vector(self.observation, "observation")
         p = operator.shape[0]
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        if cov.ndim == 1:
-            cov = require_vector(cov, "observation error variances")
+        # the raw input reaches the checks, so a complex R raises, not casts
+        if np.ndim(self.covariance) == 1:
+            cov = require_vector(self.covariance, "observation error variances")
         else:
-            cov = require_matrix(cov, "observation error covariance")
+            cov = require_matrix(self.covariance, "observation error covariance")
         if cov.shape != (p,) * cov.ndim:
             raise ValueError(
                 f"observation error covariance must be {p} x {p} or {p} variances, got {cov.shape}"
@@ -199,7 +199,7 @@ def reconstruct_members(mean, perturbations) -> ForecastEnsemble:
     if m < 2:
         raise ValueError("ensemble too small: need at least 2 members")
     row_sums = za.sum(axis=1)
-    if frobenius(row_sums) > 1e-12 * max(frobenius(za), 1.0):
+    if frobenius(row_sums) > 1e-12 * frobenius(za):
         raise ValueError("perturbations not centered")
     members = mean_arr[:, None] + np.sqrt(m - 1) * za
     return ForecastEnsemble.from_members(members)

@@ -11,9 +11,10 @@ Categories:
   inside the row space.
 * ``zero_h``: zero observation operator (no information in the update).
 
-Each instance is fully determined by its seed: all draws come from one
-``numpy`` generator in a fixed order (sizes, members, operator, error
-covariance, observation).
+Sizes are fixed: ``n`` in 1-20 (``m``-20 for ``rank_deficient``), ``m`` in
+2-12 and ``p`` in 1-``n``. Each instance is fully determined by its seed and
+category: all draws come from one ``numpy`` generator in a fixed order
+(sizes, members, operator, error covariance, observation).
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ ZERO_H = "zero_h"
 ALL_CATEGORIES = (GENERIC, ZERO_SPREAD, RANK_DEFICIENT, PARTIAL_OBS, ZERO_H)
 
 _MAX_R_CONDITION = 1e4
+# Inclusive bounds of the drawn state dimension and ensemble size
+_MAX_N = 20
+_MIN_M, _MAX_M = 2, 12
 
 
 @dataclass(frozen=True)
@@ -69,29 +73,22 @@ def _draw_spd(rng: np.random.Generator, p: int) -> np.ndarray:
     return base + shift * np.eye(p)
 
 
-def random_instance(
-    seed: int,
-    category: str = GENERIC,
-    n_range: tuple[int, int] = (1, 20),
-    m_range: tuple[int, int] = (2, 12),
-    p_range: tuple[int, int] = (1, 20),
-) -> RandomInstance:
+def random_instance(seed: int, category: str = GENERIC) -> RandomInstance:
     """Draw a reproducible instance of the requested category.
 
-    The observation dimension is clamped to ``[1, n]``; for ``partial_obs``
-    the state and ensemble sizes are raised to at least (2, 3) and ``p`` is
-    forced below the expected perturbation rank regardless of ``p_range``.
+    ``n`` is drawn from 1-20 (``m``-20 for ``rank_deficient``), ``m`` from
+    2-12 and ``p`` from 1-``n``. For ``partial_obs`` the state and ensemble
+    sizes are raised to at least (2, 3) and ``p`` is drawn below the expected
+    perturbation rank instead.
     """
     if category not in ALL_CATEGORIES:
         raise ValueError(f"unknown instance category {category!r}")
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
-    m = int(rng.integers(m_range[0], m_range[1] + 1))
-    if m < 2:
-        raise ValueError("m_range must allow at least 2 members")
+    n = int(rng.integers(1, _MAX_N + 1))
+    m = int(rng.integers(_MIN_M, _MAX_M + 1))
 
     if category == RANK_DEFICIENT:
-        n = int(rng.integers(max(n_range[0], m), max(n_range[1], m) + 1))
+        n = int(rng.integers(m, _MAX_N + 1))
     elif category == PARTIAL_OBS:
         n = max(n, 2)
         m = max(m, 3)
@@ -100,9 +97,7 @@ def random_instance(
         expected_rank = min(n, m - 1)
         p = int(rng.integers(1, expected_rank))
     else:
-        lo = min(max(p_range[0], 1), n)
-        hi = min(max(p_range[1], lo), n)
-        p = int(rng.integers(lo, hi + 1))
+        p = int(rng.integers(1, n + 1))
 
     if category == ZERO_SPREAD:
         center = rng.standard_normal(n)

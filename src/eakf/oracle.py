@@ -26,6 +26,10 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from ._arrays import REL_NORM_FLOOR, frobenius, require_matrix, symmetrize
 from .ensemble import ObservationModel, PerturbationMatrix
 
+# The exactness contract: the largest relative Frobenius error of an analysis
+# covariance against the Kalman posterior.
+TOLERANCE = 1e-10
+
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -121,8 +125,12 @@ def posterior_cov_woodbury(pert: PerturbationMatrix, obs: ObservationModel) -> n
     return symmetrize(z @ solved)
 
 
-def compare_cov(lhs, rhs, tolerance: float = 1e-10) -> ComparisonReport:
-    """Compare two covariance matrices of identical shape."""
+def compare_cov(lhs, rhs, tolerance: float = TOLERANCE) -> ComparisonReport:
+    """Compare two covariance matrices of identical shape.
+
+    ``passed`` is ``frobenius_rel <= tolerance``; every command judges at the
+    :data:`TOLERANCE` contract, and a tighter value is for tests only.
+    """
     a = require_matrix(lhs, "lhs")
     b = require_matrix(rhs, "rhs")
     if a.shape != b.shape:

@@ -137,7 +137,7 @@ class AnalysisResult:
         if not (np.isfinite(self.mean).all() and np.isfinite(diagonal).all()):
             raise ValueError("analysis mean or covariance not finite in float64")
         row_sums = za.sum(axis=1)
-        if frobenius(row_sums) > 1e-12 * max(frobenius(za), 1.0):
+        if frobenius(row_sums) > 1e-12 * frobenius(za):
             raise ValueError("analysis perturbation rows must sum to zero")
 
     def members(self) -> np.ndarray:

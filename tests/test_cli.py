@@ -54,7 +54,11 @@ def test_verify_small_sweep(tmp_path):
     )
     assert code == 0
     report = json.loads(out.read_text())
-    assert report["schema"] == 1
+    assert report["schema"] == 2
+    assert report["tolerance"] == 1e-10
+    assert set(report["config"]) == {
+        "trials", "seed", "include_rank_deficient", "include_partial_obs", "include_zero_h",
+    }
     assert report["passed"] is True
     assert report["trials_total"] == 40
     assert len(report["trials"]) == 40
@@ -73,9 +77,20 @@ def test_verify_deterministic_reports(tmp_path):
 
 
 def test_verify_bad_config(tmp_path, capsys):
-    code = main(["verify", "--trials", "5", "--m-min", "1", "--out", str(tmp_path / "r.json")])
+    code = main(["verify", "--trials", "0", "--out", str(tmp_path / "r.json")])
     assert code == 2
-    assert "m_range" in capsys.readouterr().err
+    assert "trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "1e-3"), ("--n-min", "2"), ("--n-max", "5"), ("--m-min", "3"),
+     ("--m-max", "5"), ("--p-min", "2"), ("--p-max", "5")],
+)
+def test_verify_has_no_tolerance_or_size_flags(tmp_path, flag, value):
+    # the 1e-10 contract and the instance sizes are constants
+    assert main(["verify", "--trials", "2", flag, value, "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_usage_error():
@@ -134,6 +149,16 @@ def test_assimilate_scalar_misordered(tmp_path):
     report = json.loads((tmp_path / "out_report.json").read_text())
     assert report["passed"] is False
     assert report["comparison"]["trace_deficit"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_assimilate_has_no_tolerance_flag(tmp_path):
+    files = write_scalar_inputs(tmp_path)
+    argv = ["assimilate"]
+    for flag, value in files.items():
+        argv += [flag, value]
+    argv += ["--tol", "1e-3", "--out-prefix", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert not (tmp_path / "out_report.json").exists()
 
 
 @pytest.mark.parametrize(

@@ -81,6 +81,39 @@ def test_frobenius_raises_on_nan():
         frobenius(np.array([np.nan]))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-160, 1e-14])
+def test_frobenius_below_underflow(scale):
+    # the squares of entries below about 1e-154 underflow
+    assert frobenius(np.full((3, 4), scale)) == pytest.approx(scale * np.sqrt(12.0), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-100, 1e-170])
+def test_guards_are_relative_below_unit_scale(scale):
+    with pytest.raises(ValueError, match="centered"):
+        PerturbationMatrix(matrix=np.array([[scale, scale], [scale, -scale]]), scale_members=2)
+    with pytest.raises(ValueError, match="not centered"):
+        reconstruct_members(np.zeros(1), np.array([[scale, scale]]))
+    members = np.array([[1.0, 3.0], [2.0, -2.0]]) * scale
+    with pytest.raises(ValueError, match="average"):
+        ForecastEnsemble(members=members, mean=np.array([2.5, 0.0]) * scale)
+
+
+def test_mean_guard_rejects_an_offset_mean():
+    # a mean 5e-15 off members of size 1e-20 once moved the analysis mean by
+    # 4e-15 where the true mean is 2e-20
+    members = np.array([[1e-20, 3e-20], [2e-20, -2e-20]])
+    with pytest.raises(ValueError, match="average"):
+        ForecastEnsemble(members=members, mean=np.array([5e-15, 0.0]))
+
+
+def test_guards_accept_zero_matrices():
+    zeros = np.zeros((2, 3))
+    assert not PerturbationMatrix(matrix=zeros, scale_members=3).matrix.any()
+    assert not reconstruct_members(np.zeros(2), zeros).members.any()
+    assert not ForecastEnsemble(members=zeros, mean=np.zeros(2)).mean.any()
+    assert frobenius(np.zeros((0, 0))) == 0.0
+
+
 def test_forecast_cov_examples():
     p1 = PerturbationMatrix(matrix=np.array([[1.0, -1.0]]), scale_members=2)
     np.testing.assert_allclose(forecast_cov(p1), [[2.0]])
@@ -202,6 +235,14 @@ def test_whiten_is_the_scipy_triangular_solve(p, trans):
     for rhs in (rng.standard_normal(p), rng.standard_normal((p, 7))):
         expected = sla.solve_triangular(model.cholesky, rhs, lower=True, trans=trans)
         assert np.array_equal(model.whiten(rhs, trans=trans), expected)
+
+
+@pytest.mark.parametrize(
+    "covariance", [np.array([1 + 1j, 2.0]), np.diag([1 + 1j, 2.0])], ids=["vector", "dense"]
+)
+def test_observation_model_rejects_complex_covariance(covariance):
+    with pytest.raises(ValueError, match="complex input not supported"):
+        ObservationModel(operator=np.eye(2), covariance=covariance, observation=np.zeros(2))
 
 
 def test_observation_model_not_symmetric():

@@ -71,12 +71,45 @@ def test_r_condition_bounded():
         assert eig[-1] / eig[0] <= 1e4 * (1.0 + 1e-9)
 
 
-def test_dimension_ranges_respected():
-    for seed in range(30):
-        inst = random_instance(seed, GENERIC, n_range=(2, 4), m_range=(3, 5), p_range=(1, 2))
-        assert 2 <= inst.ensemble.state_dim <= 4
-        assert 3 <= inst.ensemble.size <= 5
-        assert 1 <= inst.observation.obs_dim <= 2
+def test_sizes_within_fixed_ranges():
+    for category in ALL_CATEGORIES:
+        for seed in range(200):
+            inst = random_instance(seed, category)
+            n, m = inst.ensemble.state_dim, inst.ensemble.size
+            p = inst.observation.obs_dim
+            assert 1 <= n <= 20 and 2 <= m <= 12 and 1 <= p <= n, (category, seed)
+            if category == RANK_DEFICIENT:
+                assert n >= m
+            if category == PARTIAL_OBS:
+                assert n >= 2 and m >= 3 and p < min(n, m - 1)
+
+
+# (n, m, p) of seeds 0-9: verify's instance mix and the benchmark's
+# verify_sweep workload rest on these draws, so a change to them must show
+PINNED_SIZES = {
+    GENERIC: [
+        (18, 9, 10), (10, 7, 8), (17, 4, 2), (17, 2, 4), (15, 12, 14),
+        (14, 10, 1), (9, 7, 5), (19, 8, 13), (15, 5, 4), (9, 11, 9),
+    ],
+    RANK_DEFICIENT: [
+        (15, 9, 5), (17, 7, 17), (5, 4, 2), (5, 2, 2), (19, 12, 10),
+        (10, 10, 9), (14, 7, 5), (16, 8, 15), (8, 5, 8), (20, 11, 6),
+    ],
+    PARTIAL_OBS: [
+        (18, 9, 4), (10, 7, 4), (17, 4, 1), (17, 3, 1), (15, 12, 9),
+        (14, 10, 1), (9, 7, 3), (19, 8, 5), (15, 5, 1), (9, 11, 8),
+    ],
+}
+PINNED_SIZES[ZERO_SPREAD] = PINNED_SIZES[ZERO_H] = PINNED_SIZES[GENERIC]
+
+
+@pytest.mark.parametrize("category", ALL_CATEGORIES)
+def test_sizes_are_pinned(category):
+    sizes = []
+    for seed in range(10):
+        inst = random_instance(seed, category)
+        sizes.append((inst.ensemble.state_dim, inst.ensemble.size, inst.observation.obs_dim))
+    assert sizes == PINNED_SIZES[category]
 
 
 def test_unknown_category():

@@ -11,6 +11,7 @@ from eakf.oracle import compare_cov, posterior_cov_direct
 from eakf.update import (
     MODE_CORRECT,
     MODE_MISORDERED,
+    AnalysisResult,
     adjustment_matrix,
     analyze,
     kalman_gain,
@@ -57,8 +58,8 @@ def test_project_observations_three_members():
 @pytest.mark.parametrize("seed", range(8))
 def test_project_observations_identity(seed):
     # algebraic identity: Y.T Y == Z.T H.T inv(R) H Z, checked with an
-    # explicit inverse (small instances only)
-    inst = random_instance(seed, "generic", n_range=(1, 6), m_range=(2, 6), p_range=(1, 6))
+    # explicit inverse (cond(R) <= 1e4, so inv(R) is accurate enough)
+    inst = random_instance(seed, "generic")
     pert = perturbation_matrix(inst.ensemble)
     y = project_observations(pert, inst.observation)
     h, r = inst.observation.operator, inst.observation.covariance
@@ -307,6 +308,28 @@ def test_analyze_raises_when_observed_spread_overflows(covariance):
     obs = ObservationModel(operator=np.eye(4), covariance=covariance, observation=np.ones(4))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not finite"):
         analyze(ForecastEnsemble.from_members(members), obs)
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-100, 1e-170])
+def test_analysis_result_rejects_uncentered_below_unit_scale(scale):
+    with pytest.raises(ValueError, match="sum to zero"):
+        AnalysisResult(mean=np.zeros(1), perturbations=np.array([[scale, scale]]))
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-14, 1e-100, 1e-170])
+def test_analyze_tiny_spread(scale):
+    # against R = I the observations carry a share of about scale**2 of the
+    # information, so the posterior is the prior up to rounding
+    members = np.random.default_rng(0).standard_normal((4, 6)) * scale
+    ens = ForecastEnsemble.from_members(members)
+    obs = ObservationModel(operator=np.eye(4)[:2], covariance=np.eye(2), observation=np.zeros(2))
+    result = analyze(ens, obs)
+    unit = scale or 1.0
+    # the covariances at unit scale, since at 1e-170 their entries underflow
+    za = result.perturbations / unit
+    z = perturbation_matrix(ens).matrix / unit
+    np.testing.assert_allclose(za @ za.T, z @ z.T, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(result.mean / unit, ens.mean / unit, rtol=0, atol=1e-13)
 
 
 def test_analyze_deterministic():
