@@ -1,4 +1,11 @@
-"""Array validation and small norm helpers shared across the package."""
+"""Array validation and small norm helpers shared across the package.
+
+The analyses these helpers guard are small (``verify`` draws ``n <= 20``,
+``m <= 12``), so a numpy call's fixed cost outweighs its arithmetic. Each
+guard therefore costs one ufunc pass and one reduction: ``ndarray.all``,
+``np.mean`` and ``np.linalg.norm`` each add a Python-level wrapper around
+the same C loops.
+"""
 
 from __future__ import annotations
 
@@ -14,28 +21,44 @@ REL_NORM_FLOOR = 1e-300
 _MIN_UNSCALED_NORM = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 
 
-def require_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Return ``a`` as a finite float64 2-D array, raising ValueError otherwise."""
+def _as_float64(a, name: str) -> np.ndarray:
+    """``a`` as a float64 array; a float64 ndarray is returned as is."""
+    if type(a) is np.ndarray and a.dtype == np.float64:
+        return a
     if np.iscomplexobj(a):
         raise ValueError(f"{name}: complex input not supported")
-    arr = np.asarray(a, dtype=np.float64)
+    return np.asarray(a, dtype=np.float64)
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite (true for an empty array)."""
+    return bool(np.logical_and.reduce(np.isfinite(a), axis=None))
+
+
+def require_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Return ``a`` as a finite float64 2-D array, raising ValueError otherwise."""
+    arr = _as_float64(a, name)
     if arr.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D array, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError(f"{name}: entries must be finite (no NaN/Inf)")
     return arr
 
 
 def require_vector(a, name: str = "vector") -> np.ndarray:
     """Return ``a`` as a finite float64 1-D array, raising ValueError otherwise."""
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name}: complex input not supported")
-    arr = np.asarray(a, dtype=np.float64)
+    arr = _as_float64(a, name)
     if arr.ndim != 1:
         raise ValueError(f"{name}: expected a 1-D array, got shape {arr.shape}")
-    if arr.size and not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise ValueError(f"{name}: entries must be finite (no NaN/Inf)")
     return arr
+
+
+def _unscaled_norm(a: np.ndarray) -> float:
+    # what np.linalg.norm computes for a real array, without its dispatch
+    flat = a.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -47,11 +70,11 @@ def frobenius(a: np.ndarray) -> float:
     is the norm recomputed on ``a`` scaled by its largest entry (numpy's
     overflow warning is left unsuppressed).
     """
-    norm = float(np.linalg.norm(a))
+    norm = _unscaled_norm(a)
     # count_nonzero keeps the common exact zero (a centered residual) cheap
-    if (norm == np.inf or norm < _MIN_UNSCALED_NORM) and np.count_nonzero(a):
+    if (norm == math.inf or norm < _MIN_UNSCALED_NORM) and np.count_nonzero(a):
         scale = float(np.abs(a).max())
-        norm = scale * float(np.linalg.norm(a / scale))
+        norm = scale * _unscaled_norm(a / scale)
     # a nan norm would pass every guard ``x > tol * y`` unnoticed
     if not math.isfinite(norm):
         raise ValueError("Frobenius norm is not finite in float64")
@@ -59,4 +82,6 @@ def frobenius(a: np.ndarray) -> float:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    out = a + a.T
+    out *= 0.5
+    return out

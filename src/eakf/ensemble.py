@@ -8,6 +8,7 @@ per column. The scaled perturbation matrix divides member deviations by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +38,15 @@ class ForecastEnsemble:
             raise ValueError("ensemble too small: need at least 2 members")
         if mean.shape != (n,):
             raise ValueError(f"mean length {mean.shape[0]} does not match state dimension {n}")
-        actual = members.mean(axis=1)
+        # sum / m is what ndarray.mean computes for float64, without its wrapper
+        actual = np.add.reduce(members, axis=1) / m
         if frobenius(mean - actual) > 1e-14 * frobenius(members):
             raise ValueError("mean is not the row-wise average of the members")
 
     @classmethod
     def from_members(cls, members) -> "ForecastEnsemble":
         arr = require_matrix(members, "members")
-        return cls(members=arr, mean=arr.mean(axis=1))
+        return cls(members=arr, mean=np.add.reduce(arr, axis=1) / arr.shape[1])
 
     @property
     def state_dim(self) -> int:
@@ -73,7 +75,7 @@ class PerturbationMatrix:
             raise ValueError("ensemble too small: need at least 2 members")
         if arr.shape[1] != self.scale_members:
             raise ValueError("column count does not match scale_members")
-        row_sums = arr.sum(axis=1)
+        row_sums = np.add.reduce(arr, axis=1)
         if frobenius(row_sums) > 1e-13 * frobenius(arr):
             raise ValueError("perturbations not centered: rows must sum to zero")
 
@@ -157,7 +159,7 @@ def _error_factor(cov: np.ndarray) -> np.ndarray:
     """Lower factor of ``R``: standard deviations for variances, else Cholesky."""
     message = "observation error covariance R not positive definite"
     if cov.ndim == 1:
-        if not (cov > 0.0).all():
+        if not np.logical_and.reduce(cov > 0.0):
             raise np.linalg.LinAlgError(message)
         return np.sqrt(cov)
     factor, info = dpotrf(cov, lower=1, clean=1)
@@ -168,12 +170,13 @@ def _error_factor(cov: np.ndarray) -> np.ndarray:
 
 def perturbation_matrix(ens: ForecastEnsemble) -> PerturbationMatrix:
     """Scaled perturbations: column i is ``(member_i - mean) / sqrt(m - 1)``."""
-    deviations = ens.members - ens.mean[:, None]
-    scaled = deviations / np.sqrt(ens.size - 1)
+    m = ens.size
+    scaled = ens.members - ens.mean[:, None]
+    scaled /= math.sqrt(m - 1)
     # Remove the rounding residue of subtracting the cached mean so the
     # zero-row-sum invariant holds exactly at construction.
-    scaled = scaled - scaled.mean(axis=1, keepdims=True)
-    return PerturbationMatrix(matrix=scaled, scale_members=ens.size)
+    scaled -= np.add.reduce(scaled, axis=1, keepdims=True) / m
+    return PerturbationMatrix(matrix=scaled, scale_members=m)
 
 
 def forecast_cov(pert: PerturbationMatrix) -> np.ndarray:
@@ -198,7 +201,7 @@ def reconstruct_members(mean, perturbations) -> ForecastEnsemble:
         raise ValueError(f"mean length {mean_arr.shape[0]} does not match state dimension {n}")
     if m < 2:
         raise ValueError("ensemble too small: need at least 2 members")
-    row_sums = za.sum(axis=1)
+    row_sums = np.add.reduce(za, axis=1)
     if frobenius(row_sums) > 1e-12 * frobenius(za):
         raise ValueError("perturbations not centered")
     members = mean_arr[:, None] + np.sqrt(m - 1) * za

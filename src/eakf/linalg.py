@@ -76,7 +76,8 @@ class SvdFactors:
         if self.right.shape != (m, m):
             raise ValueError("SvdFactors: right factor must be square")
         sigma = self.singular_values
-        if r and ((sigma <= 0.0).any() or (sigma[1:] > sigma[:-1]).any()):
+        # asserted, not refuted, so that a NaN fails them
+        if r and not ((sigma > 0.0).all() and (sigma[:-1] >= sigma[1:]).all()):
             raise ValueError("SvdFactors: singular values must be positive and descending")
 
     @property
@@ -120,9 +121,10 @@ class OrderedEigen:
         if self.obs_vectors.ndim != 2 or self.obs_vectors.shape[1] > m:
             raise ValueError("OrderedEigen: obs_vectors must have at most m columns")
         values = self.values
-        if (values < 0.0).any():
+        # asserted, not refuted, so that a NaN fails them
+        if not (values >= 0.0).all():
             raise ValueError("OrderedEigen: values must be nonnegative")
-        if (values[1:] > values[:-1]).any():
+        if not (values[:-1] >= values[1:]).all():
             raise ValueError("OrderedEigen: values must be descending")
 
     def reconstruct(self) -> np.ndarray:
@@ -159,18 +161,23 @@ def svd_full(matrix) -> SvdFactors:
     threshold = RANK_TOL * float(s[0]) * max(n, m)
     rank = int(np.count_nonzero(s > threshold))
 
+    # u and vt are fresh arrays: sign them in place instead of copying
     left = u[:, :rank]
-    right = vt.T
-    signs = np.concatenate([_pivot_signs(left), _pivot_signs(right[:, rank:])])
-    left = left * signs[:rank]
-    right = right * signs
-    return SvdFactors(left=left, singular_values=s[:rank], right=right)
+    vt[:rank] *= _pivot_signs(left)[:, None]
+    _pivot_signs(vt[rank:].T)
+    return SvdFactors(left=left, singular_values=s[:rank], right=vt.T)
 
 
 def _pivot_signs(columns: np.ndarray) -> np.ndarray:
-    """``-1.0`` for each column whose largest-magnitude entry (first on ties) is negative, else ``1.0``."""
-    pivots = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
-    return np.where(pivots < 0.0, -1.0, 1.0)
+    """Negate, in place, each column whose largest-magnitude entry (first on ties) is negative.
+
+    Returns the signs applied, ``-1.0`` or ``1.0`` per column. A column of an
+    orthogonal factor is never zero, so its pivot is never a signed zero.
+    """
+    pivots = columns[np.abs(columns).argmax(axis=0), np.arange(columns.shape[1])]
+    signs = np.copysign(1.0, pivots)
+    columns *= signs
+    return signs
 
 
 def pinv_rect_diag(sigma_rect) -> np.ndarray:
@@ -240,6 +247,7 @@ def ordered_eig_psd(whitened, svd: SvdFactors) -> OrderedEigen:
 
     # Q_W must be the full (r, r) factor; U_W may stay thin.
     obs_vectors, sigma, qt = np.linalg.svd(y @ basis_r, full_matrices=p < svd.rank)
-    vectors = np.hstack([basis_r @ qt.T, basis_n])
-    values = np.concatenate([sigma**2, np.zeros(m - sigma.size)])
+    vectors = np.concatenate((basis_r @ qt.T, basis_n), axis=1)
+    values = np.zeros(m)
+    np.square(sigma, out=values[: sigma.size])
     return OrderedEigen(vectors=vectors, values=values, obs_vectors=obs_vectors)

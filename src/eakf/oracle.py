@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from ._arrays import REL_NORM_FLOOR, frobenius, require_matrix, symmetrize
+from ._arrays import REL_NORM_FLOOR, _all_finite, frobenius, require_matrix, symmetrize
 from .ensemble import ObservationModel, PerturbationMatrix
 
 # The exactness contract: the largest relative Frobenius error of an analysis
@@ -66,12 +66,12 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     report a nan as an indefinite matrix.
     """
     matrix = symmetrize(matrix)
-    if not np.isfinite(matrix).all():
+    if not _all_finite(matrix):
         raise ValueError(_NOT_FINITE)
     factor, info = dpotrf(matrix, lower=1, clean=0)
     if info:
         raise np.linalg.LinAlgError(f"{what} not positive definite")
-    if not np.isfinite(rhs).all():
+    if not _all_finite(rhs):
         raise ValueError(_NOT_FINITE)
     if not rhs.size:
         # LAPACK rejects an empty system; p = 0 leaves nothing to solve
@@ -142,13 +142,15 @@ def compare_cov(lhs, rhs, tolerance: float = TOLERANCE) -> ComparisonReport:
     fro_rel = fro_abs / max(frobenius(b), REL_NORM_FLOOR)
     trace_lhs = float(a.trace())
     trace_rhs = float(b.trace())
+    # |diff| in place: diff is ours and is not read again
+    max_abs = float(np.maximum.reduce(np.abs(diff, out=diff), axis=None)) if diff.size else 0.0
     return ComparisonReport(
         frobenius_abs=fro_abs,
         frobenius_rel=fro_rel,
         trace_lhs=trace_lhs,
         trace_rhs=trace_rhs,
         trace_deficit=trace_rhs - trace_lhs,
-        max_abs_entry_diff=float(np.abs(diff).max()) if diff.size else 0.0,
+        max_abs_entry_diff=max_abs,
         tolerance=tolerance,
         passed=bool(fro_rel <= tolerance),
     )

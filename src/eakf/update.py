@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import frobenius
+from ._arrays import _all_finite, frobenius
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
 from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, svd_full
 
@@ -134,9 +134,9 @@ class AnalysisResult:
         given = vars(self).get("covariance")
         # einsum raises no overflow warning; an overflowed square reads inf
         diagonal = np.einsum("ij,ij->i", za, za) if given is None else np.diagonal(given)
-        if not (np.isfinite(self.mean).all() and np.isfinite(diagonal).all()):
+        if not (_all_finite(self.mean) and _all_finite(diagonal)):
             raise ValueError("analysis mean or covariance not finite in float64")
-        row_sums = za.sum(axis=1)
+        row_sums = np.add.reduce(za, axis=1)
         if frobenius(row_sums) > 1e-12 * frobenius(za):
             raise ValueError("analysis perturbation rows must sum to zero")
 
@@ -281,5 +281,5 @@ def analyze(
     za = pert.matrix @ adj.transform
     # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
-    za -= za.mean(axis=1, keepdims=True)
+    za -= np.add.reduce(za, axis=1, keepdims=True) / pert.size
     return AnalysisResult(mean=mean_a, perturbations=za)
