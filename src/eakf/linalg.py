@@ -22,6 +22,10 @@ partially observed ensembles. ``S`` itself is never formed: its eigenvalues
 are the squared singular values of ``Y``, so they keep the accuracy of ``Y``
 instead of the squared conditioning of an explicit Gram matrix.
 
+Both routines fix the sign LAPACK leaves free in each singular pair by one
+pivot rule, so their factors, and the analysis ensemble built from them, do
+not depend on the LAPACK build (up to repeated singular values).
+
 ``pinv_rect_diag`` is the paper's rectangular pseudoinverse, kept as the
 reference the rank-``r`` cut is tested against; the analysis does not call it.
 """
@@ -174,6 +178,9 @@ def _pivot_signs(columns: np.ndarray) -> np.ndarray:
     Returns the signs applied, ``-1.0`` or ``1.0`` per column. A column of an
     orthogonal factor is never zero, so its pivot is never a signed zero.
     """
+    if not columns.size:
+        # argmax rejects the (0, 0) factor of a rank-0 SVD
+        return np.ones(columns.shape[1])
     pivots = columns[np.abs(columns).argmax(axis=0), np.arange(columns.shape[1])]
     signs = np.copysign(1.0, pivots)
     columns *= signs
@@ -232,7 +239,9 @@ def ordered_eig_psd(whitened, svd: SvdFactors) -> OrderedEigen:
         ``[B @ Q_W, svd.null_space_basis()]``, ``values`` is ``s**2`` padded
         with zeros and ``obs_vectors`` is ``U_W``. The ordering contract holds
         regardless of how many zero eigenvalues the row-space block contains,
-        and ``S`` is never formed.
+        and ``S`` is never formed. Each column of ``Q_W`` is signed so that
+        its entry of largest magnitude (first on ties) is positive, with the
+        paired column of ``U_W`` flipped to match.
     """
     y = require_matrix(whitened, "ordered_eig_psd input")
     p, m = y.shape
@@ -247,6 +256,11 @@ def ordered_eig_psd(whitened, svd: SvdFactors) -> OrderedEigen:
 
     # Q_W must be the full (r, r) factor; U_W may stay thin.
     obs_vectors, sigma, qt = np.linalg.svd(y @ basis_r, full_matrices=p < svd.rank)
+    # The analysis ensemble flips with the sign gesdd gives each pair, which
+    # differs between LAPACK builds; the mean and the gain use each pair
+    # twice and are unaffected. Signing Q_W, not B @ Q_W, keeps a scalar
+    # adjustment positive.
+    obs_vectors *= _pivot_signs(qt.T)[: obs_vectors.shape[1]]
     vectors = np.concatenate((basis_r @ qt.T, basis_n), axis=1)
     values = np.zeros(m)
     np.square(sigma, out=values[: sigma.size])

@@ -279,6 +279,9 @@ def test_ordered_eig_random_property(seed):
     # Y = obs_vectors diag(sqrt(values[:k])) vectors[:, :k].T
     rebuilt = (eig.obs_vectors * np.sqrt(eig.values[:k])) @ eig.vectors[:, :k].T
     assert np.linalg.norm(rebuilt - y) <= 1e-10 * max(np.linalg.norm(y), 1e-300)
+    # Q_W = B.T C follows svd_full's pivot rule
+    q = f.row_space_basis().T @ eig.vectors[:, : f.rank]
+    assert np.all(q[np.abs(q).argmax(axis=0), np.arange(f.rank)] > 0.0)
 
 
 def test_ordered_eig_errors():

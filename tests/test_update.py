@@ -343,6 +343,27 @@ def test_analyze_deterministic():
     np.testing.assert_array_equal(m1.perturbations, m2.perturbations)
 
 
+def test_analysis_ensemble_does_not_depend_on_the_lapack_signs(monkeypatch):
+    # Another LAPACK build may return any singular pair negated. Both SVDs of
+    # the analysis must undo that, or Za changes while its covariance does not.
+    instances = [random_instance(seed, "generic") for seed in range(200)]
+    expected = [analyze(inst.ensemble, inst.observation) for inst in instances]
+    svd = np.linalg.svd
+
+    def alternate_pairs_negated(a, full_matrices=True):
+        u, s, vt = svd(a, full_matrices=full_matrices)
+        u[:, : s.size : 2] *= -1.0
+        vt[: s.size : 2] *= -1.0
+        return u, s, vt
+
+    monkeypatch.setattr(np.linalg, "svd", alternate_pairs_negated)
+    for inst, base in zip(instances, expected):
+        got = analyze(inst.ensemble, inst.observation)
+        za = base.perturbations
+        assert np.abs(got.perturbations - za).max() <= 1e-14 * np.abs(za).max(), inst.seed
+        assert np.abs(got.mean - base.mean).max() <= 1e-14 * np.abs(base.mean).max(), inst.seed
+
+
 # ------------------------------------------------------------------ theorems
 
 
