@@ -22,14 +22,16 @@ class ForecastEnsemble:
     """Forecast ensemble: members (n, m) with the cached column mean (n,).
 
     The mean is stored at construction rather than recomputed so it cannot
-    drift from the deviations derived from it.
+    drift from the deviations derived from it. Members are stored row-major:
+    a row sum, and with it the analysis, would otherwise change in its last
+    bits with the memory layout the caller happened to use.
     """
 
     members: np.ndarray
     mean: np.ndarray
 
     def __post_init__(self):
-        members = require_matrix(self.members, "members")
+        members = np.ascontiguousarray(require_matrix(self.members, "members"))
         mean = require_vector(self.mean, "mean")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "mean", mean)
@@ -45,7 +47,7 @@ class ForecastEnsemble:
 
     @classmethod
     def from_members(cls, members) -> "ForecastEnsemble":
-        arr = require_matrix(members, "members")
+        arr = np.ascontiguousarray(require_matrix(members, "members"))
         return cls(members=arr, mean=np.add.reduce(arr, axis=1) / arr.shape[1])
 
     @property

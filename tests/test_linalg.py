@@ -147,11 +147,22 @@ def test_svd_errors():
 
 
 @pytest.mark.parametrize(
-    "sigma", [[1.0, 0.0], [1.0, -1.0], [1.0, 2.0]], ids=["zero", "negative", "ascending"]
+    "sigma",
+    [
+        [1.0, 0.0],
+        [1.0, -1.0],
+        [1.0, 2.0],
+        [np.nan],
+        [np.nan, 1.0],
+        [2.0, np.nan, 1.0],
+        [2.0, np.nan],
+    ],
+    ids=["zero", "negative", "ascending", "nan-only", "nan-first", "nan-middle", "nan-last"],
 )
 def test_svd_factors_reject_bad_singular_values(sigma):
+    # every comparison with nan is False: the checks must assert, not refute
     with pytest.raises(ValueError, match="singular values must be positive and descending"):
-        SvdFactors(left=np.zeros((3, 2)), singular_values=np.array(sigma), right=np.eye(3))
+        SvdFactors(left=np.zeros((3, len(sigma))), singular_values=np.array(sigma), right=np.eye(3))
 
 
 @pytest.mark.parametrize(
@@ -160,8 +171,11 @@ def test_svd_factors_reject_bad_singular_values(sigma):
         ([2.0, 1.0, -1.0], "nonnegative"),
         ([-1.0, 0.0, 1.0], "nonnegative"),
         ([0.0, 1.0, 2.0], "descending"),
+        ([np.nan, 0.0, 0.0], "nonnegative"),
+        ([1.0, np.nan, 0.0], "nonnegative"),
+        ([1.0, 0.0, np.nan], "nonnegative"),
     ],
-    ids=["negative", "negative-and-ascending", "ascending"],
+    ids=["negative", "negative-and-ascending", "ascending", "nan-first", "nan-middle", "nan-last"],
 )
 def test_ordered_eigen_rejects_bad_values(values, message):
     with pytest.raises(ValueError, match=f"values must be {message}"):
