@@ -80,8 +80,9 @@ class SvdFactors:
         if self.right.shape != (m, m):
             raise ValueError("SvdFactors: right factor must be square")
         sigma = self.singular_values
-        # asserted, not refuted, so that a NaN fails them
-        if r and not ((sigma > 0.0).all() and (sigma[:-1] >= sigma[1:]).all()):
+        # asserted, not refuted, so that a NaN fails it; once descending,
+        # the last value is the smallest
+        if r and not ((sigma[:-1] >= sigma[1:]).all() and sigma[-1] > 0.0):
             raise ValueError("SvdFactors: singular values must be positive and descending")
 
     @property

@@ -68,7 +68,9 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     matrix = symmetrize(matrix)
     if not _all_finite(matrix):
         raise ValueError(_NOT_FINITE)
-    factor, info = dpotrf(matrix, lower=1, clean=0)
+    # the symmetrized copy is exactly symmetric and ours: its transpose is
+    # Fortran-ordered, so potrf factors it in place instead of copying it
+    factor, info = dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"{what} not positive definite")
     if not _all_finite(rhs):
