@@ -102,6 +102,8 @@ class ObservationModel:
     order with zeros above the diagonal. :meth:`whiten` applies ``inv(L)``,
     through LAPACK's ``trtrs`` for a matrix. Both routines are called
     directly: at small ``p`` scipy's wrappers cost several times the solve.
+    ``operator`` is stored row-major, like the ensemble's members, so that
+    the analysis does not depend on the caller's memory layout.
     """
 
     operator: np.ndarray
@@ -110,7 +112,7 @@ class ObservationModel:
     cholesky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        operator = require_matrix(self.operator, "observation operator")
+        operator = np.ascontiguousarray(require_matrix(self.operator, "observation operator"))
         observation = require_vector(self.observation, "observation")
         p = operator.shape[0]
         # the raw input reaches the checks, so a complex R raises, not casts

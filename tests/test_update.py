@@ -343,15 +343,19 @@ def test_analyze_deterministic():
     np.testing.assert_array_equal(m1.perturbations, m2.perturbations)
 
 
-def test_analyze_does_not_depend_on_the_members_layout():
+def test_analyze_does_not_depend_on_the_input_layout():
     # a transposed array is column-major: the guards pass it through as is
     for seed in range(20):
         inst = random_instance(seed, "generic")
-        n, m = inst.ensemble.members.shape
-        transposed = np.ascontiguousarray(inst.ensemble.members.T).T
-        assert not transposed.flags.c_contiguous or min(n, m) == 1
-        a = analyze(ForecastEnsemble.from_members(transposed), inst.observation)
-        b = analyze(ForecastEnsemble.from_members(np.ascontiguousarray(transposed)), inst.observation)
+        members, obs = inst.ensemble.members, inst.observation
+        operator = np.ascontiguousarray(obs.operator.T).T
+        transposed = np.ascontiguousarray(members.T).T
+        assert not transposed.flags.c_contiguous or min(members.shape) == 1
+        a = analyze(
+            ForecastEnsemble.from_members(transposed),
+            ObservationModel(operator=operator, covariance=obs.covariance, observation=obs.observation),
+        )
+        b = analyze(ForecastEnsemble.from_members(members), obs)
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.perturbations, b.perturbations)
 
