@@ -262,7 +262,9 @@ def ordered_eig_psd(whitened, svd: SvdFactors) -> OrderedEigen:
     # twice and are unaffected. Signing Q_W, not B @ Q_W, keeps a scalar
     # adjustment positive.
     obs_vectors *= _pivot_signs(qt.T)[: obs_vectors.shape[1]]
-    vectors = np.concatenate((basis_r @ qt.T, basis_n), axis=1)
+    # [B @ Q_W, B_null]: the right factor with its leading columns replaced
+    vectors = svd.right.copy()
+    vectors[:, : svd.rank] = basis_r @ qt.T
     values = np.zeros(m)
     np.square(sigma, out=values[: sigma.size])
     return OrderedEigen(vectors=vectors, values=values, obs_vectors=obs_vectors)
