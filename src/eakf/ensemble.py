@@ -173,13 +173,18 @@ def _error_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def perturbation_matrix(ens: ForecastEnsemble) -> PerturbationMatrix:
-    """Scaled perturbations: column i is ``(member_i - mean) / sqrt(m - 1)``."""
+    """Scaled perturbations: column i is ``(member_i - mean) / sqrt(m - 1)``.
+
+    The deviations are re-centered before they are scaled. Their row sums
+    then hold only the rounding residue of the mean, and a row of identical
+    members, whose deviations are one constant of a few ulps, becomes
+    exactly zero; scaling first would turn that constant into noise that the
+    re-centering could not cancel.
+    """
     m = ens.size
     scaled = ens.members - ens.mean[:, None]
-    scaled /= math.sqrt(m - 1)
-    # Remove the rounding residue of subtracting the cached mean so the
-    # zero-row-sum invariant holds exactly at construction.
     scaled -= np.add.reduce(scaled, axis=1, keepdims=True) / m
+    scaled /= math.sqrt(m - 1)
     return PerturbationMatrix(matrix=scaled, scale_members=m)
 
 

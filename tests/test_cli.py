@@ -211,6 +211,21 @@ def test_assimilate_diagonal_r_column(tmp_path):
     assert report["p"] == 2 and report["passed"] is True
 
 
+def test_assimilate_identical_members(tmp_path):
+    # identical members: zero spread, so the analysis leaves one member
+    # repeated, at the members' average
+    files = write_scalar_inputs(tmp_path)
+    (tmp_path / "E.csv").write_text(",".join(["0.1"] * 12) + "\n")
+    argv = ["assimilate"]
+    for flag, value in files.items():
+        argv += [flag, value]
+    argv += ["--out-prefix", str(tmp_path / "out")]
+    assert main(argv) == 0
+    members = read_matrix(tmp_path / "out_members.csv")
+    assert members.shape == (1, 12) and (members == members[0, 0]).all()
+    np.testing.assert_allclose(members, 0.1, rtol=1e-15, atol=0)
+
+
 # --------------------------------------------------------------------- twin
 
 

@@ -34,6 +34,18 @@ def test_perturbation_identical_members():
     np.testing.assert_array_equal(pert.matrix, np.zeros((1, 3)))
 
 
+def test_perturbation_identical_members_seeded():
+    # a member value and the members' average differ in the last bit for
+    # about one draw in six; the perturbations must be exactly zero all the same
+    rng = np.random.default_rng(0)
+    for _ in range(500):
+        n, m = int(rng.integers(1, 21)), int(rng.integers(2, 13))
+        center = rng.standard_normal(n) * 10.0 ** rng.integers(-100, 101)
+        members = np.repeat(center[:, None], m, axis=1)
+        pert = perturbation_matrix(ForecastEnsemble.from_members(members))
+        assert not pert.matrix.any()
+
+
 def test_perturbation_three_members():
     members = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     pert = perturbation_matrix(ForecastEnsemble.from_members(members))

@@ -130,6 +130,15 @@ def test_adjustment_zero_spread():
     np.testing.assert_array_equal(adj.transform, np.zeros((3, 3)))
 
 
+def test_analyze_identical_members_from_members():
+    # the members' average is 0.1 off by an ulp, so their deviations are a
+    # constant of rounding noise; the analysis must still leave them at zero
+    ens = ForecastEnsemble.from_members(np.full((1, 12), 0.1))
+    result = analyze(ens, ObservationModel([[1.0]], [1.0], [0.0]))
+    np.testing.assert_array_equal(result.perturbations, np.zeros((1, 12)))
+    np.testing.assert_array_equal(result.mean, ens.mean)
+
+
 def test_adjustment_misordered_scalar_kills_variance():
     ens, obs = scalar_case()
     pert = perturbation_matrix(ens)
