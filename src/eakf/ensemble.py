@@ -19,36 +19,31 @@ from ._arrays import frobenius, require_matrix, require_vector, symmetrize
 
 @dataclass(frozen=True)
 class ForecastEnsemble:
-    """Forecast ensemble: members (n, m) with the cached column mean (n,).
+    """Forecast ensemble: members (n, m), one per column, and their mean (n,).
 
-    The mean is stored at construction rather than recomputed so it cannot
-    drift from the deviations derived from it. Members are stored row-major:
-    a row sum, and with it the analysis, would otherwise change in its last
-    bits with the memory layout the caller happened to use.
+    The mean is derived, never given: it is the members' row average,
+    computed once at construction. Members are stored row-major: a row sum,
+    and with it the analysis, would otherwise change in its last bits with
+    the memory layout the caller happened to use.
     """
 
     members: np.ndarray
-    mean: np.ndarray
+    mean: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         members = np.ascontiguousarray(require_matrix(self.members, "members"))
-        mean = require_vector(self.mean, "mean")
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "mean", mean)
-        n, m = members.shape
+        m = members.shape[1]
         if m < 2:
             raise ValueError("ensemble too small: need at least 2 members")
-        if mean.shape != (n,):
-            raise ValueError(f"mean length {mean.shape[0]} does not match state dimension {n}")
-        # sum / m is what ndarray.mean computes for float64, without its wrapper
-        actual = np.add.reduce(members, axis=1) / m
-        if frobenius(mean - actual) > 1e-14 * frobenius(members):
-            raise ValueError("mean is not the row-wise average of the members")
+        object.__setattr__(self, "members", members)
+        # sum / m is what ndarray.mean computes for float64, without its
+        # wrapper; a sum that overflows raises here, not in the analysis
+        mean = require_vector(np.add.reduce(members, axis=1) / m, "members' average")
+        object.__setattr__(self, "mean", mean)
 
     @classmethod
     def from_members(cls, members) -> "ForecastEnsemble":
-        arr = np.ascontiguousarray(require_matrix(members, "members"))
-        return cls(members=arr, mean=np.add.reduce(arr, axis=1) / arr.shape[1])
+        return cls(members)
 
     @property
     def state_dim(self) -> int:
@@ -127,7 +122,7 @@ class ObservationModel:
         if observation.shape != (p,):
             raise ValueError(f"observation length {observation.shape[0]} does not match p={p}")
         if cov.ndim == 2:
-            if frobenius(cov - cov.T) > 1e-10 * max(frobenius(cov), 1e-300):
+            if frobenius(cov - cov.T) > 1e-10 * frobenius(cov):
                 raise ValueError("observation error covariance not symmetric")
             cov = symmetrize(cov)
         object.__setattr__(self, "operator", operator)

@@ -3,7 +3,9 @@
 Categories:
 
 * ``generic``: dense random observation operator, n and m independent.
-* ``zero_spread``: identical members, so the scaled perturbations vanish.
+* ``zero_spread``: identical members, so the scaled perturbations vanish
+  exactly, although the derived mean may differ from the member value in
+  its last bit.
 * ``rank_deficient``: forces ``n >= m`` so the perturbations cannot span
   the state space (``rank <= m - 1 < n``).
 * ``partial_obs``: coordinate-selection operator with fewer rows than the
@@ -100,11 +102,10 @@ def random_instance(seed: int, category: str = GENERIC) -> RandomInstance:
         p = int(rng.integers(1, n + 1))
 
     if category == ZERO_SPREAD:
-        center = rng.standard_normal(n)
-        members = np.repeat(center[:, None], m, axis=1)
-        ensemble = ForecastEnsemble(members=members, mean=center.copy())
+        members = np.repeat(rng.standard_normal(n)[:, None], m, axis=1)
     else:
-        ensemble = ForecastEnsemble.from_members(rng.standard_normal((n, m)))
+        members = rng.standard_normal((n, m))
+    ensemble = ForecastEnsemble(members)
 
     if category == ZERO_H:
         operator = np.zeros((p, n))

@@ -3,6 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eakf._arrays import frobenius, symmetrize
 from eakf.ensemble import (
@@ -46,6 +48,28 @@ def test_perturbation_identical_members_seeded():
         assert not pert.matrix.any()
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    constant_rows=st.lists(st.booleans(), min_size=1, max_size=20),
+    identical=st.booleans(),
+    m=st.integers(2, 12),
+    k=st.integers(-150, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_perturbation_matrix_property(constant_rows, identical, m, k, seed):
+    # each row holds one value repeated across the members or a spread of
+    # values; with ``identical`` every row is constant, so the members are
+    constant = np.array(constant_rows) | identical
+    rng = np.random.default_rng(seed)
+    center = rng.standard_normal((len(constant), 1))
+    spread = rng.standard_normal((len(constant), m))
+    members = np.where(constant[:, None], center, spread) * 10.0**k
+    pert = perturbation_matrix(ForecastEnsemble(members))
+    assert not pert.matrix[constant].any()
+    cov = forecast_cov(pert)
+    assert np.array_equal(cov, cov.T)
+
+
 def test_perturbation_three_members():
     members = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     pert = perturbation_matrix(ForecastEnsemble.from_members(members))
@@ -68,9 +92,13 @@ def test_ensemble_too_small():
         ForecastEnsemble.from_members(np.array([[1.0]]))
 
 
-def test_ensemble_mean_mismatch():
-    with pytest.raises(ValueError, match="average"):
-        ForecastEnsemble(members=np.array([[1.0, -1.0]]), mean=np.array([5.0]))
+def test_ensemble_mean_is_derived():
+    members = np.random.default_rng(1).standard_normal((5, 7)) * 1e3 + 1e6
+    with pytest.raises(TypeError, match="mean"):
+        ForecastEnsemble(members=members, mean=members.mean(axis=1))
+    ens = ForecastEnsemble(members)
+    assert np.array_equal(ens.mean, members.mean(axis=1))
+    assert np.array_equal(ForecastEnsemble.from_members(members).mean, ens.mean)
 
 
 def test_perturbation_rejects_uncentered():
@@ -84,8 +112,9 @@ def test_guards_hold_near_overflow():
     assert frobenius(np.full(4, 1e200)) == pytest.approx(2e200, rel=1e-15)
     with pytest.raises(ValueError, match="centered"):
         PerturbationMatrix(matrix=np.array([[1e200, 1e200]]), scale_members=2)
-    with pytest.raises(ValueError, match="average"):
-        ForecastEnsemble(members=np.array([[1e200, -1e200]]), mean=np.array([1e200]))
+    # the members' sum overflows, so their average must raise, not read inf
+    with pytest.raises(ValueError, match="average: entries must be finite"):
+        ForecastEnsemble(np.full((1, 2), 1.5e308))
 
 
 def test_frobenius_raises_on_nan():
@@ -105,24 +134,13 @@ def test_guards_are_relative_below_unit_scale(scale):
         PerturbationMatrix(matrix=np.array([[scale, scale], [scale, -scale]]), scale_members=2)
     with pytest.raises(ValueError, match="not centered"):
         reconstruct_members(np.zeros(1), np.array([[scale, scale]]))
-    members = np.array([[1.0, 3.0], [2.0, -2.0]]) * scale
-    with pytest.raises(ValueError, match="average"):
-        ForecastEnsemble(members=members, mean=np.array([2.5, 0.0]) * scale)
-
-
-def test_mean_guard_rejects_an_offset_mean():
-    # a mean 5e-15 off members of size 1e-20 once moved the analysis mean by
-    # 4e-15 where the true mean is 2e-20
-    members = np.array([[1e-20, 3e-20], [2e-20, -2e-20]])
-    with pytest.raises(ValueError, match="average"):
-        ForecastEnsemble(members=members, mean=np.array([5e-15, 0.0]))
 
 
 def test_guards_accept_zero_matrices():
     zeros = np.zeros((2, 3))
     assert not PerturbationMatrix(matrix=zeros, scale_members=3).matrix.any()
     assert not reconstruct_members(np.zeros(2), zeros).members.any()
-    assert not ForecastEnsemble(members=zeros, mean=np.zeros(2)).mean.any()
+    assert not ForecastEnsemble(zeros).mean.any()
     assert frobenius(np.zeros((0, 0))) == 0.0
 
 
@@ -264,6 +282,15 @@ def test_observation_model_not_symmetric():
             covariance=np.array([[1.0, 0.5], [0.0, 1.0]]),
             observation=np.zeros(2),
         )
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-305])
+def test_observation_model_symmetry_guard_is_relative(scale):
+    # an asymmetry of 1e-6 relative to R must raise at any scale of R
+    with pytest.raises(ValueError, match="not symmetric"):
+        ObservationModel(np.eye(2), np.array([[1.0, 1e-6], [0.0, 1.0]]) * scale, np.zeros(2))
+    model = ObservationModel(np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]) * scale, np.zeros(2))
+    assert np.array_equal(model.covariance, np.array([[1.0, 0.5], [0.5, 1.0]]) * scale)
 
 
 def test_observation_model_shape_errors():
