@@ -66,10 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     twin.add_argument("--steps", type=int, default=500)
     twin.add_argument("--n", type=int, default=3)
     twin.add_argument("--m", type=int, default=12)
-    twin.add_argument("--decay", type=float, default=0.95)
-    twin.add_argument("--model-var", type=float, default=0.04)
-    twin.add_argument("--obs-var", type=float, default=1.0)
-    twin.add_argument("--obs-every", type=int, default=1)
     twin.add_argument("--seed", type=int, default=0)
     twin.add_argument("--out", type=str, default=None, help="write the JSON metrics here")
     twin.add_argument("--series", type=str, default=None, help="write the step series CSV here")
@@ -167,17 +163,7 @@ def _cmd_assimilate(args) -> int:
 
 
 def _cmd_twin(args) -> int:
-    cfg = TwinConfig(
-        steps=args.steps,
-        n=args.n,
-        m=args.m,
-        dynamics_decay=args.decay,
-        model_noise_var=args.model_var,
-        obs_every=args.obs_every,
-        obs_noise_var=args.obs_var,
-        seed=args.seed,
-    )
-    report = run_twin(cfg)
+    report = run_twin(TwinConfig(steps=args.steps, n=args.n, m=args.m, seed=args.seed))
     if args.series:
         Path(args.series).write_text("\n".join(series_csv_lines(report)) + "\n")
     report.pop("series")

@@ -43,6 +43,7 @@ class ForecastEnsemble:
 
     @classmethod
     def from_members(cls, members) -> "ForecastEnsemble":
+        """The same as ``ForecastEnsemble(members)``."""
         return cls(members)
 
     @property

@@ -79,7 +79,6 @@ class AdjustmentMatrix:
     transform: np.ndarray
     svd: SvdFactors
     eig: OrderedEigen
-    mode: str
     permutation: np.ndarray | None = None
 
 
@@ -245,9 +244,7 @@ def adjustment_matrix(
     # pinv(Sig) @ Sig keeps the leading r columns: the rank-r cut
     r = factors.rank
     transform = (vectors[:, :r] / np.sqrt(1.0 + values[:r])) @ factors.row_space_basis().T
-    return AdjustmentMatrix(
-        transform=transform, svd=factors, eig=eig, mode=mode, permutation=permutation
-    )
+    return AdjustmentMatrix(transform=transform, svd=factors, eig=eig, permutation=permutation)
 
 
 def analyze(

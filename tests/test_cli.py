@@ -241,7 +241,8 @@ def test_twin_run_and_series(tmp_path):
     )
     assert code == 0
     metrics = json.loads(out.read_text())
-    assert metrics["schema"] == 1
+    assert metrics["schema"] == 2
+    assert metrics["config"] == {"steps": 60, "n": 3, "m": 8, "seed": 5}
     assert metrics["analyses"] == 60
     assert metrics["all_finite"] is True
     lines = series.read_text().strip().splitlines()
@@ -259,6 +260,15 @@ def test_twin_deterministic(tmp_path):
 def test_twin_bad_config(capsys):
     assert main(["twin", "--steps", "0"]) == 2
     assert "steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--decay", "0.9"), ("--model-var", "0.1"), ("--obs-var", "2"), ("--obs-every", "2")]
+)
+def test_twin_has_no_dynamics_or_noise_flags(tmp_path, flag, value):
+    # the dynamics, the noise variances and the observation interval are constants
+    assert main(["twin", "--steps", "5", flag, value, "--out", str(tmp_path / "m.json")]) == 2
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_module_entry_point():

@@ -58,7 +58,7 @@ def test_perturbation_identical_members_seeded():
 )
 def test_perturbation_matrix_property(constant_rows, identical, m, k, seed):
     # each row holds one value repeated across the members or a spread of
-    # values; with ``identical`` every row is constant, so the members are
+    # values; with ``identical`` every row is constant and the members are equal
     constant = np.array(constant_rows) | identical
     rng = np.random.default_rng(seed)
     center = rng.standard_normal((len(constant), 1))
