@@ -92,6 +92,22 @@ def test_ensemble_too_small():
         ForecastEnsemble.from_members(np.array([[1.0]]))
 
 
+def test_ensemble_mean_mismatch():
+    # the mean is derived from the members, so a mismatched one cannot be given
+    with pytest.raises(TypeError, match="mean"):
+        ForecastEnsemble(members=np.array([[1.0, -1.0]]), mean=np.array([5.0]))
+    assert np.array_equal(ForecastEnsemble(np.array([[1.0, -1.0]])).mean, [0.0])
+
+
+def test_mean_guard_rejects_an_offset_mean():
+    # a mean 5e-15 off members of size 1e-20 once moved the analysis mean by
+    # 4e-15 where the true mean is 2e-20; no mean but the members' own enters
+    members = np.array([[1e-20, 3e-20], [2e-20, -2e-20]])
+    with pytest.raises(TypeError, match="mean"):
+        ForecastEnsemble(members=members, mean=np.array([5e-15, 0.0]))
+    np.testing.assert_allclose(ForecastEnsemble(members).mean, [2e-20, 0.0], rtol=1e-15, atol=0.0)
+
+
 def test_ensemble_mean_is_derived():
     members = np.random.default_rng(1).standard_normal((5, 7)) * 1e3 + 1e6
     with pytest.raises(TypeError, match="mean"):
