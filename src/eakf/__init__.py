@@ -32,9 +32,6 @@ from .oracle import (
 )
 from .twin import TwinConfig, run_twin
 from .update import (
-    MODE_CORRECT,
-    MODE_MISORDERED,
-    AdjustmentMatrix,
     AnalysisResult,
     adjustment_matrix,
     analyze,
@@ -46,12 +43,9 @@ from .verify import VerifyConfig, run_verify
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjustmentMatrix",
     "AnalysisResult",
     "ComparisonReport",
     "ForecastEnsemble",
-    "MODE_CORRECT",
-    "MODE_MISORDERED",
     "ObservationModel",
     "OrderedEigen",
     "PerturbationMatrix",

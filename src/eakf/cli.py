@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .demo import format_pitfall_report, run_pitfall_demo
+from .demo import format_pitfall_report, misordered_analysis, run_pitfall_demo
 from .ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from .matio import MatrixFileError, read_matrix, read_vector, write_matrix, write_vector
 from .oracle import compare_cov, posterior_cov_direct
 from .twin import TwinConfig, run_twin, series_csv_lines
-from .update import MODE_CORRECT, MODE_MISORDERED, analyze
+from .update import analyze
 from .verify import VerifyConfig, run_verify
 
 
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     asm.add_argument("--H", required=True, help="p x n observation operator")
     asm.add_argument("--R", required=True, help="p x p covariance, or p x 1 variance column")
     asm.add_argument("--y", required=True, help="p x 1 observation column")
-    asm.add_argument("--mode", choices=[MODE_CORRECT, MODE_MISORDERED], default=MODE_CORRECT)
+    asm.add_argument("--mode", choices=["correct", "misordered"], default="correct")
     asm.add_argument("--seed", type=int, default=0, help="permutation seed for misordered mode")
     asm.add_argument("--out-prefix", required=True)
 
@@ -133,9 +133,12 @@ def _cmd_assimilate(args) -> int:
             f"{args.y}: expected a {p} x 1 observation column, got {observation.shape[0]} rows"
         )
 
-    ensemble = ForecastEnsemble.from_members(members)
+    ensemble = ForecastEnsemble(members)
     model = ObservationModel(operator=operator, covariance=covariance, observation=observation)
-    result = analyze(ensemble, model, args.mode, seed=args.seed)
+    if args.mode == "misordered":
+        result = misordered_analysis(ensemble, model, args.seed)
+    else:
+        result = analyze(ensemble, model)
     oracle_cov = posterior_cov_direct(forecast_cov(perturbation_matrix(ensemble)), model)
     comparison = compare_cov(result.covariance, oracle_cov)
 

@@ -1,7 +1,18 @@
 """Reproducible demonstration of the eigenvector-ordering pitfall.
 
-Runs the hand-checkable scalar instance and one random rank-deficient
-instance in both correct and misordered modes and reports the analysis
+The analysis keeps the leading ``r = rank(Z)`` columns of
+``Z @ C @ diag(1/sqrt(1+g))`` and drops the trailing ``m - r``. That is
+harmless exactly when those columns of ``C`` lie in the null space of ``Z``,
+i.e. when the null-space eigenvectors are ordered last, which
+:func:`eakf.linalg.ordered_eig_psd` guarantees. If an eigensolver scatters
+them elsewhere, the cut drops live columns instead and the analysis ensemble
+loses variance it should have kept. :func:`misordered_analysis` reproduces
+that failure on purpose: it shuffles the columns of ``C`` (and the
+eigenvalues with them) by a seeded permutation that moves at least one null
+vector into the kept block, and cuts there.
+
+:func:`run_pitfall_demo` runs the hand-checkable scalar instance and one
+random rank-deficient instance both ways and reports the analysis
 covariance trace of each against the exact Kalman posterior trace. The
 misordered run must lose trace (under-dispersion) while the correct run
 must match the oracle; anything else is a failure of the demonstration.
@@ -13,21 +24,61 @@ import numpy as np
 
 from .ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from .instances import RANK_DEFICIENT, random_instance
+from .linalg import ordered_eig_psd, svd_full
 from .oracle import TOLERANCE, compare_cov, posterior_cov_direct
-from .update import MODE_CORRECT, MODE_MISORDERED, analyze
+from .update import AnalysisResult, analyze, project_observations
 
 SCHEMA_VERSION = 1
 
 
 def scalar_instance() -> tuple[ForecastEnsemble, ObservationModel]:
     """Members [1, -1], H = [1], R = [2], y = 1: oracle posterior trace is 1."""
-    ensemble = ForecastEnsemble.from_members(np.array([[1.0, -1.0]]))
+    ensemble = ForecastEnsemble(np.array([[1.0, -1.0]]))
     model = ObservationModel(
         operator=np.array([[1.0]]),
         covariance=np.array([[2.0]]),
         observation=np.array([1.0]),
     )
     return ensemble, model
+
+
+def _displacing_permutation(rng: np.random.Generator, rank: int, m: int) -> np.ndarray:
+    """Random permutation moving at least one trailing (null) column forward.
+
+    Draws are repeated until some index >= rank lands in the leading block,
+    which forces at least one live column into the truncated trailing block.
+    With 0 < rank < m a draw succeeds with probability at least 1/2.
+    """
+    if rank == 0 or rank == m:
+        return np.arange(m)
+    while True:
+        perm = rng.permutation(m)
+        if np.any(perm[:rank] >= rank):
+            return perm
+
+
+def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel, seed: int) -> AnalysisResult:
+    """The analysis with the null-space eigenvectors misordered: the pitfall.
+
+    Builds the same factors as :func:`eakf.update.analyze`, permutes the
+    columns of ``C`` with :func:`_displacing_permutation` seeded by ``seed``
+    and keeps the leading ``rank`` of them. The mean is the exact Kalman mean
+    of :func:`eakf.update.analyze`; only the perturbations, and with them the
+    covariance ``Za @ Za.T``, are wrong.
+    """
+    pert = perturbation_matrix(ens)
+    factors = svd_full(pert.matrix)
+    eig = ordered_eig_psd(project_observations(pert, obs), factors)
+    r = factors.rank
+    # a permuted cut of the columns: the values are no longer descending,
+    # so they cannot go through an OrderedEigen
+    cut = _displacing_permutation(np.random.default_rng(seed), r, pert.size)[:r]
+    transform = (eig.vectors[:, cut] / np.sqrt(1.0 + eig.values[cut])) @ factors.row_space_basis().T
+    za = pert.matrix @ transform
+    za -= np.add.reduce(za, axis=1, keepdims=True) / pert.size
+    # built afresh, not replaced: dataclasses.replace would read, and pass
+    # on, the covariance of the correct analysis
+    return AnalysisResult(mean=analyze(ens, obs).mean, perturbations=za)
 
 
 def run_pitfall_demo(seed: int) -> dict:
@@ -48,8 +99,8 @@ def run_pitfall_demo(seed: int) -> dict:
     for name, ensemble, model in instances:
         pert = perturbation_matrix(ensemble)
         oracle_cov = posterior_cov_direct(forecast_cov(pert), model)
-        correct = analyze(ensemble, model, MODE_CORRECT)
-        misordered = analyze(ensemble, model, MODE_MISORDERED, seed=seed)
+        correct = analyze(ensemble, model)
+        misordered = misordered_analysis(ensemble, model, seed)
         correct_cmp = compare_cov(correct.covariance, oracle_cov)
         deficit = float(np.trace(oracle_cov) - np.trace(misordered.covariance))
         ok = correct_cmp.passed and deficit > 0.0

@@ -14,7 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from ._arrays import frobenius, require_matrix, require_vector, symmetrize
+from ._arrays import _all_finite, frobenius, require_matrix, require_vector, symmetrize
+
+# Smallest normal float64, 2.2e-308
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -22,9 +25,11 @@ class ForecastEnsemble:
     """Forecast ensemble: members (n, m), one per column, and their mean (n,).
 
     The mean is derived, never given: it is the members' row average,
-    computed once at construction. Members are stored row-major: a row sum,
-    and with it the analysis, would otherwise change in its last bits with
-    the memory layout the caller happened to use.
+    computed once at construction; a row whose sum overflows is averaged as
+    the sum of ``members / m``, so an average that fits float64 is accepted.
+    Members are stored row-major: a row sum, and with it the analysis, would
+    otherwise change in its last bits with the memory layout the caller
+    happened to use.
     """
 
     members: np.ndarray
@@ -37,8 +42,17 @@ class ForecastEnsemble:
             raise ValueError("ensemble too small: need at least 2 members")
         object.__setattr__(self, "members", members)
         # sum / m is what ndarray.mean computes for float64, without its
-        # wrapper; a sum that overflows raises here, not in the analysis
-        mean = require_vector(np.add.reduce(members, axis=1) / m, "members' average")
+        # wrapper. A row whose sum overflows is averaged as the sum of
+        # members / m instead; the other rows keep the bits of sum / m.
+        # Rounding can still carry an average within a few ulps of the
+        # largest float64 past it; that raises, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.add.reduce(members, axis=1)
+            mean /= m
+            if not _all_finite(mean):
+                overflowed = ~np.isfinite(mean)
+                mean[overflowed] = np.add.reduce(members[overflowed] / m, axis=1)
+                require_vector(mean, "members' average")
         object.__setattr__(self, "mean", mean)
 
     @classmethod
@@ -74,8 +88,16 @@ class PerturbationMatrix:
         if arr.shape[1] != self.scale_members:
             raise ValueError("column count does not match scale_members")
         row_sums = np.add.reduce(arr, axis=1)
-        if frobenius(row_sums) > 1e-13 * frobenius(arr):
-            raise ValueError("perturbations not centered: rows must sum to zero")
+        norm = frobenius(arr)
+        if frobenius(row_sums) > 1e-13 * norm:
+            message = "perturbations not centered: rows must sum to zero"
+            if norm < _TINY:
+                # below the normal range rounding is absolute, 4.9e-324 a step
+                message += (
+                    f"; their norm {norm:.2g} is below the smallest normal float64, "
+                    f"{_TINY:.2g}, where rounding cannot center them"
+                )
+            raise ValueError(message)
 
     @property
     def state_dim(self) -> int:
@@ -210,4 +232,4 @@ def reconstruct_members(mean, perturbations) -> ForecastEnsemble:
     if frobenius(row_sums) > 1e-12 * frobenius(za):
         raise ValueError("perturbations not centered")
     members = mean_arr[:, None] + np.sqrt(m - 1) * za
-    return ForecastEnsemble.from_members(members)
+    return ForecastEnsemble(members)

@@ -4,8 +4,8 @@ Truth evolves as ``x_{k+1} = DYNAMICS_DECAY * x_k + w_k`` with Gaussian
 model noise of variance ``MODEL_NOISE_VAR``; the full state is observed at
 every step with independent Gaussian errors of variance ``OBS_NOISE_VAR``.
 The ensemble is propagated with the same dynamics plus independent
-per-member noise and analyzed with the correct-mode update. Linear dynamics
-keep this an exactness check of the cycling machinery, not a chaos
+per-member noise and analyzed with :func:`eakf.update.analyze`. Linear
+dynamics keep this an exactness check of the cycling machinery, not a chaos
 benchmark. The dynamics and the noise levels are fixed; a run varies only
 in its length, its sizes and its seed.
 """
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ensemble import ForecastEnsemble, ObservationModel
-from .update import MODE_CORRECT, analyze
+from .update import analyze
 
 SCHEMA_VERSION = 2
 
@@ -61,7 +61,7 @@ def run_twin(cfg: TwinConfig) -> dict:
         model = ObservationModel(
             operator=operator, covariance=obs_variances, observation=observation
         )
-        result = analyze(ForecastEnsemble(members), model, MODE_CORRECT)
+        result = analyze(ForecastEnsemble(members), model)
         members = result.members()
         rmse = float(np.linalg.norm(result.mean - truth) / np.sqrt(cfg.n))
         # trace(Za @ Za.T) without forming the (n, n) covariance

@@ -41,14 +41,10 @@ Two implementation details decide whether this is exact or silently wrong:
   always; no compute path for the square-inverse form exists here.
 
 * The rank-``r`` cut drops the trailing ``m - r`` columns of
-  ``Z @ C @ diag(1/sqrt(1+g))``. That is harmless exactly when those columns
-  of ``C`` lie in the null space of ``Z``, i.e. when the null-space
-  eigenvectors are ordered last. If an eigensolver scatters them elsewhere,
-  the cut drops live columns instead and the analysis ensemble loses
-  variance it should have kept. ``mode="misordered"`` reproduces that
-  failure on purpose (seeded, for demonstrations and negative tests);
-  ``mode="correct"`` uses :func:`eakf.linalg.ordered_eig_psd`, which
-  guarantees the ordering.
+  ``Z @ C @ diag(1/sqrt(1+g))``, which is harmless exactly when the
+  null-space eigenvectors are ordered last.
+  :func:`eakf.linalg.ordered_eig_psd` guarantees that ordering; what an
+  eigensolver that scatters them does instead is shown in :mod:`eakf.demo`.
 """
 
 from __future__ import annotations
@@ -60,26 +56,6 @@ import numpy as np
 from ._arrays import _all_finite, frobenius
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
 from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, svd_full
-
-MODE_CORRECT = "correct"
-MODE_MISORDERED = "misordered"
-
-
-@dataclass(frozen=True)
-class AdjustmentMatrix:
-    """Ensemble-space transform ``T`` with the decompositions it was assembled from.
-
-    ``Z @ transform`` is the paper's ``A @ Z``. The defining contract is that
-    ``(Z @ T) @ (Z @ T).T`` matches the exact Kalman posterior covariance
-    (checked against :mod:`eakf.oracle` in the test suite). ``permutation``
-    records the column shuffle applied in misordered mode, ``None`` in
-    correct mode.
-    """
-
-    transform: np.ndarray
-    svd: SvdFactors
-    eig: OrderedEigen
-    permutation: np.ndarray | None = None
 
 
 class _CovarianceOnRead:
@@ -181,87 +157,29 @@ def kalman_gain(pert: PerturbationMatrix, obs: ObservationModel, eig: OrderedEig
     return (pert.matrix @ eig.vectors[:, :k]) @ whitened.T
 
 
-def _displacing_permutation(rng: np.random.Generator, rank: int, m: int) -> np.ndarray:
-    """Random permutation moving at least one trailing (null) column forward.
+def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
+    """The ensemble-space transform ``T`` (``Z @ T`` is the paper's ``A @ Z``).
 
-    Draws are repeated until some index >= rank lands in the leading block,
-    which forces at least one live column into the truncated trailing block.
-    With 0 < rank < m a draw succeeds with probability at least 1/2.
+    ``svd`` is :func:`eakf.linalg.svd_full` of ``Z`` and ``eig`` the
+    :func:`eakf.linalg.ordered_eig_psd` result built on it; ``T`` is their
+    rank-``r`` cut ``C[:, :r] @ diag(1 / sqrt(1 + g[:r])) @ B.T``, where
+    ``pinv(Sig) @ Sig`` keeps the leading ``r`` columns. A zero-spread
+    ensemble (rank 0) yields the zero transform, the correct limit since a
+    zero forecast covariance forces a zero posterior.
     """
-    if rank == 0 or rank == m:
-        return np.arange(m)
-    while True:
-        perm = rng.permutation(m)
-        if np.any(perm[:rank] >= rank):
-            return perm
+    r = svd.rank
+    return (eig.vectors[:, :r] / np.sqrt(1.0 + eig.values[:r])) @ svd.row_space_basis().T
 
 
-def adjustment_matrix(
-    pert: PerturbationMatrix,
-    obs: ObservationModel,
-    mode: str = MODE_CORRECT,
-    *,
-    seed: int | None = None,
-) -> AdjustmentMatrix:
-    """Assemble the ensemble-space transform ``T`` (``Z @ T`` is ``A @ Z``).
-
-    Parameters
-    ----------
-    pert, obs
-        Scaled forecast perturbations and the observation model.
-    mode : {"correct", "misordered"}
-        ``"correct"`` enforces the null-vectors-last eigenvector ordering.
-        ``"misordered"`` applies a seeded random column permutation that
-        displaces at least one null-space eigenvector out of the trailing
-        block, reproducing the under-dispersion failure; use only for
-        demonstrations and negative tests.
-    seed : int, optional
-        Required for ``"misordered"``; ignored otherwise.
-
-    Notes
-    -----
-    A zero-spread ensemble (numerical rank 0) yields the zero transform:
-    the rank-0 cut keeps no column, which is the correct limit since a zero
-    forecast covariance forces a zero posterior.
-    """
-    if mode not in (MODE_CORRECT, MODE_MISORDERED):
-        raise ValueError(f"unknown mode {mode!r}")
-    factors = svd_full(pert.matrix)
-    whitened = project_observations(pert, obs)
-    eig = ordered_eig_psd(whitened, factors)
-
-    vectors = eig.vectors
-    values = eig.values
-    permutation = None
-    if mode == MODE_MISORDERED:
-        if seed is None:
-            raise ValueError("misordered mode requires a seed")
-        rng = np.random.default_rng(seed)
-        permutation = _displacing_permutation(rng, factors.rank, pert.size)
-        vectors = vectors[:, permutation]
-        values = values[permutation]
-
-    # pinv(Sig) @ Sig keeps the leading r columns: the rank-r cut
-    r = factors.rank
-    transform = (vectors[:, :r] / np.sqrt(1.0 + values[:r])) @ factors.row_space_basis().T
-    return AdjustmentMatrix(transform=transform, svd=factors, eig=eig, permutation=permutation)
-
-
-def analyze(
-    ens: ForecastEnsemble,
-    obs: ObservationModel,
-    mode: str = MODE_CORRECT,
-    *,
-    seed: int | None = None,
-) -> AnalysisResult:
+def analyze(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """Run one analysis step: transformed perturbations plus the Kalman mean.
 
     The perturbation update only constrains the covariance; the analysis
     mean is the standard Kalman mean ``mean + K (y - H mean)``, taken from
     the same factors as the transform without forming ``K``:
     ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
-    the innovation and an ``m``-vector of weights (so in misordered mode too
-    the mean is the exact Kalman mean). :func:`kalman_gain` gives ``K``.
+    the innovation and an ``m``-vector of weights. :func:`kalman_gain`
+    gives ``K``.
 
     The result's ``covariance`` is not formed here; see :class:`AnalysisResult`.
 
@@ -269,13 +187,13 @@ def analyze(
     row sums of squares of ``Za``, the covariance diagonal, are not finite).
     """
     pert = perturbation_matrix(ens)
-    adj = adjustment_matrix(pert, obs, mode, seed=seed)
-    eig = adj.eig
+    factors = svd_full(pert.matrix)
+    eig = ordered_eig_psd(project_observations(pert, obs), factors)
     k = eig.obs_vectors.shape[1]
     innovation = obs.whiten(obs.observation - obs.operator @ ens.mean)
     weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
     mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
-    za = pert.matrix @ adj.transform
+    za = pert.matrix @ adjustment_matrix(factors, eig)
     # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
     za -= np.add.reduce(za, axis=1, keepdims=True) / pert.size

@@ -1,7 +1,7 @@
 """Random-instance verification sweep against the dense Kalman oracle.
 
 Every trial draws a seeded instance of the fixed sizes in
-:mod:`eakf.instances`, runs the correct-mode analysis, and checks two things
+:mod:`eakf.instances`, runs the analysis, and checks two things
 at the 1e-10 contract (:data:`eakf.oracle.TOLERANCE`): the analysis
 covariance against the direct Kalman posterior, and the mutual agreement of
 the three oracle routes (direct, reduced, Woodbury) on the same instance.
@@ -20,7 +20,7 @@ from .oracle import (
     posterior_cov_reduced,
     posterior_cov_woodbury,
 )
-from .update import MODE_CORRECT, analyze
+from .update import analyze
 
 SCHEMA_VERSION = 2
 
@@ -55,7 +55,7 @@ def run_verify(cfg: VerifyConfig) -> dict:
         inst = random_instance(cfg.seed + index, category)
         pert = perturbation_matrix(inst.ensemble)
         direct = posterior_cov_direct(forecast_cov(pert), inst.observation)
-        result = analyze(inst.ensemble, inst.observation, MODE_CORRECT)
+        result = analyze(inst.ensemble, inst.observation)
 
         analysis_cmp = compare_cov(result.covariance, direct)
         reduced_cmp = compare_cov(posterior_cov_reduced(pert, inst.observation), direct)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from eakf.cli import main as cli_main
+from eakf.demo import _displacing_permutation, misordered_analysis
 from eakf.ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from eakf.instances import category_pool, random_instance
 from eakf.linalg import ordered_eig_psd, svd_full
@@ -21,7 +22,7 @@ from eakf.oracle import (
     posterior_cov_woodbury,
 )
 from eakf.twin import TwinConfig, run_twin
-from eakf.update import MODE_CORRECT, MODE_MISORDERED, adjustment_matrix, analyze, project_observations
+from eakf.update import analyze, project_observations
 
 SWEEP_TRIALS = 1000
 CONSISTENCY_TOL = 1e-10
@@ -61,7 +62,7 @@ def test_criterion_1_exact_consistency():
     for inst in sweep():
         pert = perturbation_matrix(inst.ensemble)
         oracle = posterior_cov_direct(forecast_cov(pert), inst.observation)
-        result = analyze(inst.ensemble, inst.observation, MODE_CORRECT)
+        result = analyze(inst.ensemble, inst.observation)
         report = compare_cov(result.covariance, oracle, CONSISTENCY_TOL)
         worst = max(worst, report.frobenius_rel)
         categories.add(inst.category)
@@ -99,7 +100,7 @@ def test_criterion_3_pitfall_reproduction():
     ens, obs = scalar_case()
     pert = perturbation_matrix(ens)
     oracle = posterior_cov_direct(forecast_cov(pert), obs)
-    mis = analyze(ens, obs, MODE_MISORDERED, seed=0)
+    mis = misordered_analysis(ens, obs, 0)
     scalar_trace = float(np.trace(mis.covariance))
     scalar_ok = (
         abs(scalar_trace) <= PITFALL_ABS_TOL
@@ -111,13 +112,12 @@ def test_criterion_3_pitfall_reproduction():
     for seed in range(100):
         inst = random_instance(seed, "rank_deficient")
         ipert = perturbation_matrix(inst.ensemble)
-        adj = adjustment_matrix(ipert, inst.observation, MODE_MISORDERED, seed=seed)
-        rank = adj.svd.rank
-        displaced = adj.permutation is not None and bool(np.any(adj.permutation[:rank] >= rank))
-        if not displaced:
+        rank = svd_full(ipert.matrix).rank
+        permutation = _displacing_permutation(np.random.default_rng(seed), rank, ipert.size)
+        if not np.any(permutation[:rank] >= rank):
             continue
         displaced_count += 1
-        za = ipert.matrix @ adj.transform
+        za = misordered_analysis(inst.ensemble, inst.observation, seed).perturbations
         ioracle = posterior_cov_direct(forecast_cov(ipert), inst.observation)
         deficit = float(np.trace(ioracle) - np.trace(za @ za.T))
         if deficit <= 0.0:
@@ -141,7 +141,7 @@ def test_criterion_4_zero_operator_edge():
         inst = random_instance(seed, "zero_h")
         pert = perturbation_matrix(inst.ensemble)
         pf = forecast_cov(pert)
-        result = analyze(inst.ensemble, inst.observation, MODE_CORRECT)
+        result = analyze(inst.ensemble, inst.observation)
         rel = np.linalg.norm(result.covariance - pf) / max(np.linalg.norm(pf), 1e-300)
         worst = max(worst, rel)
         if rel > ZERO_H_TOL:
@@ -153,7 +153,7 @@ def test_criterion_4_zero_operator_edge():
 
 def test_criterion_5_mean_update():
     ens, obs = scalar_case()
-    scalar_mean = analyze(ens, obs, MODE_CORRECT).mean
+    scalar_mean = analyze(ens, obs).mean
     scalar_ok = abs(float(scalar_mean[0]) - 0.5) <= 1e-12
 
     worst = 0.0
@@ -170,7 +170,7 @@ def test_criterion_5_mean_update():
         # with the package
         gain = pf @ h.T @ np.linalg.inv(h @ pf @ h.T + r)
         reference = inst.ensemble.mean + gain @ (y - h @ inst.ensemble.mean)
-        result = analyze(inst.ensemble, inst.observation, MODE_CORRECT)
+        result = analyze(inst.ensemble, inst.observation)
         rel = np.linalg.norm(result.mean - reference) / max(np.linalg.norm(reference), 1.0)
         worst = max(worst, rel)
         if rel > MEAN_TOL:
@@ -190,7 +190,7 @@ def test_criterion_6_structural_invariants(tmp_path):
         if index >= 200:
             break
         pert = perturbation_matrix(inst.ensemble)
-        result = analyze(inst.ensemble, inst.observation, MODE_CORRECT)
+        result = analyze(inst.ensemble, inst.observation)
         za = result.perturbations
         rows = np.linalg.norm(za.sum(axis=1)) / max(np.linalg.norm(za), 1e-300) if za.any() else 0.0
         rows_worst = max(rows_worst, rows)

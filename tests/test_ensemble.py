@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -122,15 +123,26 @@ def test_perturbation_rejects_uncentered():
         PerturbationMatrix(matrix=np.array([[1.0, 1.0]]), scale_members=2)
 
 
+def test_perturbation_below_the_normal_range_names_its_scale():
+    # below 2.2e-308 the average and the re-centering round to a fixed step
+    # of 4.9e-324, so such a spread cannot be centered to 1e-13 of its norm
+    members = np.array([[1.0, 2.0, 4.0], [3.0, -1.0, 0.5]]) * 1e-315
+    with pytest.raises(ValueError, match=r"not centered.*norm 2\.5e-315 is below .* 2\.2e-308"):
+        perturbation_matrix(ForecastEnsemble(members))
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_guards_hold_near_overflow():
     # squares of entries near 1e200 overflow; the norms in the guards must not
     assert frobenius(np.full(4, 1e200)) == pytest.approx(2e200, rel=1e-15)
     with pytest.raises(ValueError, match="centered"):
         PerturbationMatrix(matrix=np.array([[1e200, 1e200]]), scale_members=2)
-    # the members' sum overflows, so their average must raise, not read inf
-    with pytest.raises(ValueError, match="average: entries must be finite"):
-        ForecastEnsemble(np.full((1, 2), 1.5e308))
+    # the members' sum overflows, but their average fits: it is accepted,
+    # exactly and without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ens = ForecastEnsemble(np.full((1, 2), 1.5e308))
+    assert ens.mean[0] == 1.5e308
 
 
 def test_frobenius_raises_on_nan():

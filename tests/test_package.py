@@ -1,0 +1,14 @@
+import eakf
+import eakf.update
+
+
+def test_star_import_resolves_every_export():
+    namespace = {}
+    exec("from eakf import *", namespace)
+    assert set(eakf.__all__) <= namespace.keys()
+
+
+def test_the_analysis_has_no_mode():
+    # the misordered analysis lives in eakf.demo, next to the demonstration
+    for name in ("AdjustmentMatrix", "MODE_CORRECT", "MODE_MISORDERED", "_displacing_permutation"):
+        assert name not in eakf.__all__ and not hasattr(eakf.update, name), name

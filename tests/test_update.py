@@ -4,13 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eakf.demo import _displacing_permutation, misordered_analysis
 from eakf.ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
 from eakf.oracle import compare_cov, posterior_cov_direct
 from eakf.update import (
-    MODE_CORRECT,
-    MODE_MISORDERED,
     AnalysisResult,
     adjustment_matrix,
     analyze,
@@ -77,9 +76,20 @@ def test_project_observations_shape_mismatch():
 # ---------------------------------------------------------------------- gain
 
 
+def factors(pert, obs):
+    """The SVD of ``Z`` and the ordered eigendecomposition built on it, as ``analyze`` forms them."""
+    svd = svd_full(pert.matrix)
+    return svd, ordered_eig_psd(project_observations(pert, obs), svd)
+
+
 def gain(pert, obs):
-    eig = ordered_eig_psd(project_observations(pert, obs), svd_full(pert.matrix))
-    return kalman_gain(pert, obs, eig)
+    return kalman_gain(pert, obs, factors(pert, obs)[1])
+
+
+def displacing_permutation(pert, seed):
+    """The rank of ``Z`` and the permutation ``misordered_analysis`` applies for ``seed``."""
+    rank = svd_full(pert.matrix).rank
+    return rank, _displacing_permutation(np.random.default_rng(seed), rank, pert.size)
 
 
 def test_kalman_gain_scalar():
@@ -106,9 +116,8 @@ def test_kalman_gain_three_members():
 def test_adjustment_scalar_value():
     ens, obs = scalar_case()
     pert = perturbation_matrix(ens)
-    adj = adjustment_matrix(pert, obs)
     # the paper's adjustment is A = 1/sqrt(2), so Z T = A Z
-    za = pert.matrix @ adj.transform
+    za = pert.matrix @ adjustment_matrix(*factors(pert, obs))
     np.testing.assert_allclose(za, pert.matrix / np.sqrt(2.0), rtol=1e-14)
     np.testing.assert_allclose(za @ za.T, [[1.0]], rtol=1e-14)
 
@@ -117,17 +126,16 @@ def test_adjustment_zero_operator_preserves_cov():
     ens, _ = three_member_case()
     obs = ObservationModel(operator=np.zeros((1, 2)), covariance=[[1.0]], observation=[0.0])
     pert = perturbation_matrix(ens)
-    adj = adjustment_matrix(pert, obs)
-    za = pert.matrix @ adj.transform
+    za = pert.matrix @ adjustment_matrix(*factors(pert, obs))
     np.testing.assert_allclose(za @ za.T, forecast_cov(pert), atol=1e-14)
 
 
 def test_adjustment_zero_spread():
     ens = ForecastEnsemble.from_members(np.full((2, 3), 4.0))
     obs = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
-    adj = adjustment_matrix(perturbation_matrix(ens), obs)
-    assert adj.svd.rank == 0
-    np.testing.assert_array_equal(adj.transform, np.zeros((3, 3)))
+    svd, eig = factors(perturbation_matrix(ens), obs)
+    assert svd.rank == 0
+    np.testing.assert_array_equal(adjustment_matrix(svd, eig), np.zeros((3, 3)))
 
 
 def test_analyze_identical_members_from_members():
@@ -142,9 +150,8 @@ def test_analyze_identical_members_from_members():
 def test_adjustment_misordered_scalar_kills_variance():
     ens, obs = scalar_case()
     pert = perturbation_matrix(ens)
-    adj = adjustment_matrix(pert, obs, MODE_MISORDERED, seed=0)
-    np.testing.assert_array_equal(adj.permutation, [1, 0])
-    za = pert.matrix @ adj.transform
+    np.testing.assert_array_equal(displacing_permutation(pert, 0)[1], [1, 0])
+    za = misordered_analysis(ens, obs, 0).perturbations
     assert abs(np.trace(za @ za.T)) <= 1e-12
     # trace deficit of 1 against the oracle posterior
     oracle = posterior_cov_direct(forecast_cov(pert), obs)
@@ -155,10 +162,8 @@ def test_adjustment_misordered_always_displaces():
     for seed in range(10):
         inst = random_instance(seed, "rank_deficient")
         pert = perturbation_matrix(inst.ensemble)
-        adj = adjustment_matrix(pert, inst.observation, MODE_MISORDERED, seed=seed)
-        r = adj.svd.rank
-        assert adj.permutation is not None
-        assert np.any(adj.permutation[:r] >= r)
+        r, permutation = displacing_permutation(pert, seed)
+        assert np.any(permutation[:r] >= r)
 
 
 def test_adjustment_misordered_zero_spread_is_noop():
@@ -166,17 +171,23 @@ def test_adjustment_misordered_zero_spread_is_noop():
     # instead of looping, and the adjustment stays zero
     ens = ForecastEnsemble.from_members(np.full((2, 4), 1.5))
     obs = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
-    adj = adjustment_matrix(perturbation_matrix(ens), obs, MODE_MISORDERED, seed=5)
-    np.testing.assert_array_equal(adj.permutation, np.arange(4))
-    np.testing.assert_array_equal(adj.transform, np.zeros((4, 4)))
+    r, permutation = displacing_permutation(perturbation_matrix(ens), 5)
+    assert r == 0
+    np.testing.assert_array_equal(permutation, np.arange(4))
+    np.testing.assert_array_equal(misordered_analysis(ens, obs, 5).perturbations, np.zeros((2, 4)))
 
 
-def test_adjustment_mode_errors():
-    ens, obs = scalar_case()
-    with pytest.raises(ValueError, match="unknown mode"):
-        adjustment_matrix(perturbation_matrix(ens), obs, "sorted")
-    with pytest.raises(ValueError, match="seed"):
-        adjustment_matrix(perturbation_matrix(ens), obs, MODE_MISORDERED)
+def test_misordered_analysis_keeps_the_mean_and_its_own_covariance():
+    # only the perturbations are misordered: the mean is the Kalman mean of
+    # analyze, and the covariance is formed from the misordered Za, not
+    # carried over from the correct analysis
+    for seed in range(20):
+        inst = random_instance(seed, ALL_CATEGORIES[seed % len(ALL_CATEGORIES)])
+        correct = analyze(inst.ensemble, inst.observation)
+        mis = misordered_analysis(inst.ensemble, inst.observation, seed)
+        np.testing.assert_array_equal(mis.mean, correct.mean)
+        za = mis.perturbations
+        np.testing.assert_array_equal(mis.covariance, za @ za.T)
 
 
 # ------------------------------------------------------------------- analyze
@@ -205,9 +216,7 @@ def test_analyze_three_members():
     np.testing.assert_allclose(
         res.covariance, [[0.5, -0.25], [-0.25, 0.875]], atol=1e-14
     )
-    pert = perturbation_matrix(ens)
-    adj = adjustment_matrix(pert, obs)
-    np.testing.assert_allclose(kalman_gain(pert, obs, adj.eig), [[0.5], [-0.25]], atol=1e-14)
+    np.testing.assert_allclose(gain(perturbation_matrix(ens), obs), [[0.5], [-0.25]], atol=1e-14)
 
 
 @pytest.mark.parametrize("category", ALL_CATEGORIES)
@@ -272,9 +281,7 @@ def test_analyze_mean_matches_gain_form(category):
     for seed in range(100):
         inst = random_instance(seed, category)
         ens, obs = inst.ensemble, inst.observation
-        pert = perturbation_matrix(ens)
-        adj = adjustment_matrix(pert, obs)
-        increment = kalman_gain(pert, obs, adj.eig) @ (obs.observation - obs.operator @ ens.mean)
+        increment = gain(perturbation_matrix(ens), obs) @ (obs.observation - obs.operator @ ens.mean)
         expected = ens.mean + increment
         err = np.linalg.norm(analyze(ens, obs).mean - expected)
         worst = max(worst, err / max(np.linalg.norm(expected), 1e-300))
@@ -347,8 +354,8 @@ def test_analyze_deterministic():
     b = analyze(inst.ensemble, inst.observation)
     np.testing.assert_array_equal(a.perturbations, b.perturbations)
     np.testing.assert_array_equal(a.mean, b.mean)
-    m1 = analyze(inst.ensemble, inst.observation, MODE_MISORDERED, seed=7)
-    m2 = analyze(inst.ensemble, inst.observation, MODE_MISORDERED, seed=7)
+    m1 = misordered_analysis(inst.ensemble, inst.observation, 7)
+    m2 = misordered_analysis(inst.ensemble, inst.observation, 7)
     np.testing.assert_array_equal(m1.perturbations, m2.perturbations)
 
 
@@ -419,41 +426,46 @@ def test_truncation_identity():
         )
 
 
-@pytest.mark.parametrize("mode", [MODE_CORRECT, MODE_MISORDERED])
-def test_rank_cut_equals_pinv_product(mode):
+@pytest.mark.parametrize("ordering", ["correct", "misordered"])
+def test_rank_cut_equals_pinv_product(ordering):
     # the transform keeps the leading rank columns of the (permuted) scaled
     # eigenvectors, which is exactly what pinv(sig) @ sig does
     for seed in range(40):
         inst = random_instance(seed, ALL_CATEGORIES[seed % len(ALL_CATEGORIES)])
         pert = perturbation_matrix(inst.ensemble)
-        adj = adjustment_matrix(pert, inst.observation, mode, seed=seed)
-        f = adj.svd
+        f, eig = factors(pert, inst.observation)
         sig = rect_sigma(f)
         truncation = pinv_rect_diag(sig) @ sig
         # (1 / s) * s is 1 only to rounding
         projector = np.diag(np.arange(pert.size) < f.rank)
         np.testing.assert_allclose(truncation, projector, rtol=0, atol=1e-15)
-        perm = np.arange(pert.size) if adj.permutation is None else adj.permutation
-        scaled = adj.eig.vectors[:, perm] / np.sqrt(1.0 + adj.eig.values[perm])
+        if ordering == "correct":
+            perm = np.arange(pert.size)
+        else:
+            perm = displacing_permutation(pert, seed)[1]
+        scaled = eig.vectors[:, perm] / np.sqrt(1.0 + eig.values[perm])
         expected = scaled @ truncation @ f.right.T
-        atol = 1e-14 * max(np.linalg.norm(expected), 1.0)
-        np.testing.assert_allclose(adj.transform, expected, rtol=0, atol=atol)
+        if ordering == "correct":
+            atol = 1e-14 * max(np.linalg.norm(expected), 1.0)
+            np.testing.assert_allclose(adjustment_matrix(f, eig), expected, rtol=0, atol=atol)
+        else:
+            # the misordered transform is applied, not returned: compare Z @ T
+            za = misordered_analysis(inst.ensemble, inst.observation, seed).perturbations
+            expected = pert.matrix @ expected
+            atol = 1e-14 * max(np.linalg.norm(expected), 1.0)
+            np.testing.assert_allclose(za, expected, rtol=0, atol=atol)
 
 
 def test_misordering_under_disperses():
     for seed in range(30):
         inst = random_instance(seed, "generic")
-        correct = analyze(inst.ensemble, inst.observation, MODE_CORRECT)
-        mis = analyze(inst.ensemble, inst.observation, MODE_MISORDERED, seed=seed)
+        correct = analyze(inst.ensemble, inst.observation)
+        mis = misordered_analysis(inst.ensemble, inst.observation, seed)
         t_correct = np.trace(correct.covariance)
         t_mis = np.trace(mis.covariance)
         assert t_mis <= t_correct + 1e-10 * max(t_correct, 1.0)
-        pert = perturbation_matrix(inst.ensemble)
-        adj = adjustment_matrix(pert, inst.observation, MODE_MISORDERED, seed=seed)
-        displaced = adj.permutation is not None and np.any(
-            adj.permutation[: adj.svd.rank] >= adj.svd.rank
-        )
-        if displaced and adj.svd.rank > 0:
+        r, permutation = displacing_permutation(perturbation_matrix(inst.ensemble), seed)
+        if np.any(permutation[:r] >= r) and r > 0:
             assert t_mis < t_correct
 
 
