@@ -17,8 +17,11 @@ import numpy as np
 # comparisons against an exactly zero reference are well defined.
 REL_NORM_FLOOR = 1e-300
 
+# Smallest normal float64, 2.2e-308
+_TINY = float(np.finfo(np.float64).tiny)
+
 # Smallest norm whose squared entries sum without underflow error
-_MIN_UNSCALED_NORM = math.sqrt(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_MIN_UNSCALED_NORM = math.sqrt(_TINY / np.finfo(np.float64).eps)
 
 
 def _as_float64(a, name: str) -> np.ndarray:
@@ -81,6 +84,28 @@ def frobenius(a: np.ndarray) -> float:
     if not math.isfinite(norm):
         raise ValueError("Frobenius norm is not finite in float64")
     return norm
+
+
+def center_rows(a: np.ndarray) -> None:
+    """Subtract each row's average from ``a``, in place."""
+    a -= np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
+def require_centered(a: np.ndarray, tol: float, message: str) -> None:
+    """Raise ValueError(``message``) unless ``||row sums|| <= tol * ||a||``.
+
+    Below the normal range rounding is absolute, 4.9e-324 a step, and the
+    message then names the norm.
+    """
+    row_sums = np.add.reduce(a, axis=1)
+    norm = frobenius(a)
+    if frobenius(row_sums) > tol * norm:
+        if norm < _TINY:
+            message += (
+                f"; their norm {norm:.2g} is below the smallest normal float64, "
+                f"{_TINY:.2g}, where rounding cannot center them"
+            )
+        raise ValueError(message)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

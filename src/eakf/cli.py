@@ -59,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     asm.add_argument("--R", required=True, help="p x p covariance, or p x 1 variance column")
     asm.add_argument("--y", required=True, help="p x 1 observation column")
     asm.add_argument("--mode", choices=["correct", "misordered"], default="correct")
-    asm.add_argument("--seed", type=int, default=0, help="permutation seed for misordered mode")
     asm.add_argument("--out-prefix", required=True)
 
     twin = sub.add_parser("twin", help="cycled linear-Gaussian twin experiment")
@@ -136,7 +135,7 @@ def _cmd_assimilate(args) -> int:
     ensemble = ForecastEnsemble(members)
     model = ObservationModel(operator=operator, covariance=covariance, observation=observation)
     if args.mode == "misordered":
-        result = misordered_analysis(ensemble, model, args.seed)
+        result = misordered_analysis(ensemble, model)
     else:
         result = analyze(ensemble, model)
     oracle_cov = posterior_cov_direct(forecast_cov(perturbation_matrix(ensemble)), model)

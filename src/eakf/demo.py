@@ -4,12 +4,13 @@ The analysis keeps the leading ``r = rank(Z)`` columns of
 ``Z @ C @ diag(1/sqrt(1+g))`` and drops the trailing ``m - r``. That is
 harmless exactly when those columns of ``C`` lie in the null space of ``Z``,
 i.e. when the null-space eigenvectors are ordered last, which
-:func:`eakf.linalg.ordered_eig_psd` guarantees. If an eigensolver scatters
-them elsewhere, the cut drops live columns instead and the analysis ensemble
-loses variance it should have kept. :func:`misordered_analysis` reproduces
-that failure on purpose: it shuffles the columns of ``C`` (and the
-eigenvalues with them) by a seeded permutation that moves at least one null
-vector into the kept block, and cuts there.
+:func:`eakf.linalg.ordered_eig_psd` guarantees. A symmetric eigensolver
+that returns its eigenvalues in ascending order (``numpy.linalg.eigh``,
+LAPACK ``dsyevd``) puts the zero eigenvalues of the null space first
+instead, so the cut drops live columns and the analysis ensemble loses
+variance it should have kept. :func:`misordered_analysis` reproduces that
+failure on purpose: it takes the columns of ``C`` (and the eigenvalues with
+them) in that ascending order and cuts there.
 
 :func:`run_pitfall_demo` runs the hand-checkable scalar instance and one
 random rank-deficient instance both ways and reports the analysis
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._arrays import center_rows
 from .ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from .instances import RANK_DEFICIENT, random_instance
 from .linalg import ordered_eig_psd, svd_full
@@ -42,40 +44,26 @@ def scalar_instance() -> tuple[ForecastEnsemble, ObservationModel]:
     return ensemble, model
 
 
-def _displacing_permutation(rng: np.random.Generator, rank: int, m: int) -> np.ndarray:
-    """Random permutation moving at least one trailing (null) column forward.
-
-    Draws are repeated until some index >= rank lands in the leading block,
-    which forces at least one live column into the truncated trailing block.
-    With 0 < rank < m a draw succeeds with probability at least 1/2.
-    """
-    if rank == 0 or rank == m:
-        return np.arange(m)
-    while True:
-        perm = rng.permutation(m)
-        if np.any(perm[:rank] >= rank):
-            return perm
-
-
-def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel, seed: int) -> AnalysisResult:
+def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """The analysis with the null-space eigenvectors misordered: the pitfall.
 
-    Builds the same factors as :func:`eakf.update.analyze`, permutes the
-    columns of ``C`` with :func:`_displacing_permutation` seeded by ``seed``
-    and keeps the leading ``rank`` of them. The mean is the exact Kalman mean
-    of :func:`eakf.update.analyze`; only the perturbations, and with them the
+    Builds the same factors as :func:`eakf.update.analyze`, reverses the
+    columns of ``C`` into ascending-eigenvalue order, so that the ``m - r``
+    null vectors lead, and keeps the leading ``r = rank(Z)`` of them. For
+    ``r >= 1`` that cuts at least one live column; at ``r = 0`` the result
+    is the correct analysis. The mean is the exact Kalman mean of
+    :func:`eakf.update.analyze`; only the perturbations, and with them the
     covariance ``Za @ Za.T``, are wrong.
     """
     pert = perturbation_matrix(ens)
     factors = svd_full(pert.matrix)
     eig = ordered_eig_psd(project_observations(pert, obs), factors)
     r = factors.rank
-    # a permuted cut of the columns: the values are no longer descending,
-    # so they cannot go through an OrderedEigen
-    cut = _displacing_permutation(np.random.default_rng(seed), r, pert.size)[:r]
-    transform = (eig.vectors[:, cut] / np.sqrt(1.0 + eig.values[cut])) @ factors.row_space_basis().T
-    za = pert.matrix @ transform
-    za -= np.add.reduce(za, axis=1, keepdims=True) / pert.size
+    # ascending values cannot go through an OrderedEigen, so the columns
+    # are indexed here
+    vectors, values = eig.vectors[:, ::-1][:, :r], eig.values[::-1][:r]
+    za = pert.matrix @ ((vectors / np.sqrt(1.0 + values)) @ factors.row_space_basis().T)
+    center_rows(za)
     # built afresh, not replaced: dataclasses.replace would read, and pass
     # on, the covariance of the correct analysis
     return AnalysisResult(mean=analyze(ens, obs).mean, perturbations=za)
@@ -100,7 +88,7 @@ def run_pitfall_demo(seed: int) -> dict:
         pert = perturbation_matrix(ensemble)
         oracle_cov = posterior_cov_direct(forecast_cov(pert), model)
         correct = analyze(ensemble, model)
-        misordered = misordered_analysis(ensemble, model, seed)
+        misordered = misordered_analysis(ensemble, model)
         correct_cmp = compare_cov(correct.covariance, oracle_cov)
         deficit = float(np.trace(oracle_cov) - np.trace(misordered.covariance))
         ok = correct_cmp.passed and deficit > 0.0

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtrs
 
-from ._arrays import _all_finite, frobenius, require_matrix, require_vector, symmetrize
-
-# Smallest normal float64, 2.2e-308
-_TINY = float(np.finfo(np.float64).tiny)
+from ._arrays import (
+    _all_finite, center_rows, frobenius, require_centered, require_matrix, require_vector, symmetrize,
+)
 
 
 @dataclass(frozen=True)
@@ -25,8 +24,9 @@ class ForecastEnsemble:
     """Forecast ensemble: members (n, m), one per column, and their mean (n,).
 
     The mean is derived, never given: it is the members' row average,
-    computed once at construction; a row whose sum overflows is averaged as
-    the sum of ``members / m``, so an average that fits float64 is accepted.
+    computed once at construction; a row whose sum overflows is summed
+    scaled down by a power of two, so an average that fits float64 is
+    accepted.
     Members are stored row-major: a row sum, and with it the analysis, would
     otherwise change in its last bits with the memory layout the caller
     happened to use.
@@ -42,16 +42,16 @@ class ForecastEnsemble:
             raise ValueError("ensemble too small: need at least 2 members")
         object.__setattr__(self, "members", members)
         # sum / m is what ndarray.mean computes for float64, without its
-        # wrapper. A row whose sum overflows is averaged as the sum of
-        # members / m instead; the other rows keep the bits of sum / m.
-        # Rounding can still carry an average within a few ulps of the
-        # largest float64 past it; that raises, without a warning.
+        # wrapper. A row whose sum overflows is summed scaled by the power of
+        # two 2**k >= m, exactly, so that the sum fits; the other rows keep
+        # the bits of sum / m.
         with np.errstate(over="ignore", invalid="ignore"):
             mean = np.add.reduce(members, axis=1)
             mean /= m
             if not _all_finite(mean):
                 overflowed = ~np.isfinite(mean)
-                mean[overflowed] = np.add.reduce(members[overflowed] / m, axis=1)
+                scale = 2.0 ** (m - 1).bit_length()
+                mean[overflowed] = np.add.reduce(members[overflowed] / scale, axis=1) / m * scale
                 require_vector(mean, "members' average")
         object.__setattr__(self, "mean", mean)
 
@@ -87,17 +87,7 @@ class PerturbationMatrix:
             raise ValueError("ensemble too small: need at least 2 members")
         if arr.shape[1] != self.scale_members:
             raise ValueError("column count does not match scale_members")
-        row_sums = np.add.reduce(arr, axis=1)
-        norm = frobenius(arr)
-        if frobenius(row_sums) > 1e-13 * norm:
-            message = "perturbations not centered: rows must sum to zero"
-            if norm < _TINY:
-                # below the normal range rounding is absolute, 4.9e-324 a step
-                message += (
-                    f"; their norm {norm:.2g} is below the smallest normal float64, "
-                    f"{_TINY:.2g}, where rounding cannot center them"
-                )
-            raise ValueError(message)
+        require_centered(arr, 1e-13, "perturbations not centered: rows must sum to zero")
 
     @property
     def state_dim(self) -> int:
@@ -201,7 +191,7 @@ def perturbation_matrix(ens: ForecastEnsemble) -> PerturbationMatrix:
     """
     m = ens.size
     scaled = ens.members - ens.mean[:, None]
-    scaled -= np.add.reduce(scaled, axis=1, keepdims=True) / m
+    center_rows(scaled)
     scaled /= math.sqrt(m - 1)
     return PerturbationMatrix(matrix=scaled, scale_members=m)
 
@@ -228,8 +218,6 @@ def reconstruct_members(mean, perturbations) -> ForecastEnsemble:
         raise ValueError(f"mean length {mean_arr.shape[0]} does not match state dimension {n}")
     if m < 2:
         raise ValueError("ensemble too small: need at least 2 members")
-    row_sums = np.add.reduce(za, axis=1)
-    if frobenius(row_sums) > 1e-12 * frobenius(za):
-        raise ValueError("perturbations not centered")
+    require_centered(za, 1e-12, "perturbations not centered")
     members = mean_arr[:, None] + np.sqrt(m - 1) * za
     return ForecastEnsemble(members)

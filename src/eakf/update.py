@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import _all_finite, frobenius
+from ._arrays import _all_finite, center_rows, require_centered
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
 from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, svd_full
 
@@ -111,9 +111,7 @@ class AnalysisResult:
         diagonal = np.einsum("ij,ij->i", za, za) if given is None else np.diagonal(given)
         if not (_all_finite(self.mean) and _all_finite(diagonal)):
             raise ValueError("analysis mean or covariance not finite in float64")
-        row_sums = np.add.reduce(za, axis=1)
-        if frobenius(row_sums) > 1e-12 * frobenius(za):
-            raise ValueError("analysis perturbation rows must sum to zero")
+        require_centered(za, 1e-12, "analysis perturbation rows must sum to zero")
 
     def members(self) -> np.ndarray:
         """Analysis ensemble members, ``mean + sqrt(m-1) * perturbations``."""
@@ -196,5 +194,5 @@ def analyze(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     za = pert.matrix @ adjustment_matrix(factors, eig)
     # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
-    za -= np.add.reduce(za, axis=1, keepdims=True) / pert.size
+    center_rows(za)
     return AnalysisResult(mean=mean_a, perturbations=za)

@@ -151,12 +151,14 @@ def test_assimilate_scalar_misordered(tmp_path):
     assert report["comparison"]["trace_deficit"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_assimilate_has_no_tolerance_flag(tmp_path):
+@pytest.mark.parametrize("flag, value", [("--tol", "1e-3"), ("--seed", "0")])
+def test_assimilate_has_no_tolerance_flag(tmp_path, flag, value):
+    # the 1e-10 contract is a constant, and the misordered mode draws nothing
     files = write_scalar_inputs(tmp_path)
     argv = ["assimilate"]
-    for flag, value in files.items():
-        argv += [flag, value]
-    argv += ["--tol", "1e-3", "--out-prefix", str(tmp_path / "out")]
+    for name, path in files.items():
+        argv += [name, path]
+    argv += [flag, value, "--out-prefix", str(tmp_path / "out")]
     assert main(argv) == 2
     assert not (tmp_path / "out_report.json").exists()
 

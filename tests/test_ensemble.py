@@ -143,6 +143,13 @@ def test_guards_hold_near_overflow():
         warnings.simplefilter("error")
         ens = ForecastEnsemble(np.full((1, 2), 1.5e308))
     assert ens.mean[0] == 1.5e308
+    # at the largest float64 it is accepted within an ulp, at every size
+    largest = np.finfo(np.float64).max
+    for m in range(2, 13):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = ForecastEnsemble(np.full((1, m), largest)).mean[0]
+        assert np.nextafter(largest, 0.0) <= mean <= largest, m
 
 
 def test_frobenius_raises_on_nan():

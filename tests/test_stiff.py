@@ -1,13 +1,18 @@
-"""Stiff regimes against a 60-digit Kalman posterior.
+"""Stiff regimes against an extended-precision Kalman posterior.
 
 An explicit observation-space Gram matrix ``Z.T H.T inv(R) H Z`` squares the
 conditioning of the analysis, so its small eigenvalues drown in the rounding
 of its large ones once the ensemble spread far exceeds the observation error
 or ``R`` is ill conditioned. The whitened square-root path must keep the
 1e-10 contract there. The reference is the gain form of the posterior
-evaluated in 60-digit arithmetic on the exact float64 inputs of the analysis
+evaluated in extended precision on the exact float64 inputs of the analysis
 (the scaled perturbations, ``H`` and the symmetrized ``R``, or its variances).
+The gain form adds ``R`` to ``H P_f H.T``, of size spread squared, so the
+working precision grows with the spread: about ``2 log10(spread) + 40``
+digits, and never fewer than 60.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -19,11 +24,19 @@ mpmath = pytest.importorskip("mpmath")
 
 TOL = 1e-10
 
+# the analysis mean x_f + Z w cancels once the spread dwarfs R; taking the
+# mean in ensemble coordinates would avoid the subtraction
+MEAN_CANCELS = pytest.mark.xfail(
+    raises=AssertionError, strict=True, reason="the analysis mean cancels at large spread"
+)
+
 
 def exact_analysis(ens, obs):
-    """Posterior covariance and mean to 60 digits, rounded to float64."""
+    """Posterior covariance and mean in extended precision, rounded to float64."""
     z = perturbation_matrix(ens).matrix
-    with mpmath.workdps(60):
+    spread = float(np.abs(z).max())
+    digits = max(60, 40 + 2 * math.ceil(math.log10(max(spread, 1.0))))
+    with mpmath.workdps(digits):
         r = obs.covariance if obs.covariance.ndim == 2 else np.diag(obs.covariance)
         zm, h, r = (mpmath.matrix(a.tolist()) for a in (z, obs.operator, r))
         x, y = mpmath.matrix(ens.mean.tolist()), mpmath.matrix(obs.observation.tolist())
@@ -73,3 +86,17 @@ def test_spread_far_above_widely_spread_variances():
         operator=rng.standard_normal((5, 6)), covariance=np.logspace(-6, 6, 5), observation=rng.standard_normal(5)
     )
     assert_exact(ForecastEnsemble.from_members(members), obs)
+
+
+@pytest.mark.parametrize(
+    "spread",
+    [1e4, pytest.param(1e8, marks=MEAN_CANCELS), pytest.param(1e12, marks=MEAN_CANCELS),
+     pytest.param(1e100, marks=MEAN_CANCELS)],
+)
+def test_fully_observed_spread_far_above_observation_error(spread):
+    # every state variable observed with unit error: the posterior mean is
+    # about y and the covariance about R. At 1e100 nothing raises; the mean
+    # comes back wrong by about 1e84.
+    members = np.random.default_rng(0).standard_normal((4, 6)) * spread
+    obs = ObservationModel(operator=np.eye(4), covariance=np.eye(4), observation=np.ones(4))
+    assert_exact(ForecastEnsemble(members), obs)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eakf.demo import _displacing_permutation, misordered_analysis
+from eakf.demo import misordered_analysis
 from eakf.ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
@@ -86,10 +86,13 @@ def gain(pert, obs):
     return kalman_gain(pert, obs, factors(pert, obs)[1])
 
 
-def displacing_permutation(pert, seed):
-    """The rank of ``Z`` and the permutation ``misordered_analysis`` applies for ``seed``."""
-    rank = svd_full(pert.matrix).rank
-    return rank, _displacing_permutation(np.random.default_rng(seed), rank, pert.size)
+def ascending_order(pert):
+    """The rank of ``Z`` and the order of the columns of ``C`` that ``misordered_analysis`` cuts.
+
+    An eigensolver returning ascending eigenvalues reverses the ordered ``C``:
+    the null vectors lead.
+    """
+    return svd_full(pert.matrix).rank, np.arange(pert.size)[::-1]
 
 
 def test_kalman_gain_scalar():
@@ -150,8 +153,8 @@ def test_analyze_identical_members_from_members():
 def test_adjustment_misordered_scalar_kills_variance():
     ens, obs = scalar_case()
     pert = perturbation_matrix(ens)
-    np.testing.assert_array_equal(displacing_permutation(pert, 0)[1], [1, 0])
-    za = misordered_analysis(ens, obs, 0).perturbations
+    np.testing.assert_array_equal(ascending_order(pert)[1], [1, 0])
+    za = misordered_analysis(ens, obs).perturbations
     assert abs(np.trace(za @ za.T)) <= 1e-12
     # trace deficit of 1 against the oracle posterior
     oracle = posterior_cov_direct(forecast_cov(pert), obs)
@@ -159,22 +162,27 @@ def test_adjustment_misordered_scalar_kills_variance():
 
 
 def test_adjustment_misordered_always_displaces():
+    # the leading column of the ascending order is a null vector of Z, so a
+    # live column is cut whenever the rank is at least 1
     for seed in range(10):
         inst = random_instance(seed, "rank_deficient")
         pert = perturbation_matrix(inst.ensemble)
-        r, permutation = displacing_permutation(pert, seed)
-        assert np.any(permutation[:r] >= r)
+        r, order = ascending_order(pert)
+        assert r >= 1
+        assert np.any(order[:r] >= r)
+        _, eig = factors(pert, inst.observation)
+        null = pert.matrix @ eig.vectors[:, order[0]]
+        assert np.linalg.norm(null) <= 1e-13 * np.linalg.norm(pert.matrix)
 
 
 def test_adjustment_misordered_zero_spread_is_noop():
-    # rank 0 leaves nothing to displace; the permutation must degenerate
-    # instead of looping, and the adjustment stays zero
+    # rank 0 leaves nothing to displace: the cut keeps no column, and the
+    # adjustment stays zero
     ens = ForecastEnsemble.from_members(np.full((2, 4), 1.5))
     obs = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
-    r, permutation = displacing_permutation(perturbation_matrix(ens), 5)
-    assert r == 0
-    np.testing.assert_array_equal(permutation, np.arange(4))
-    np.testing.assert_array_equal(misordered_analysis(ens, obs, 5).perturbations, np.zeros((2, 4)))
+    r, order = ascending_order(perturbation_matrix(ens))
+    assert r == 0 and order[:r].size == 0
+    np.testing.assert_array_equal(misordered_analysis(ens, obs).perturbations, np.zeros((2, 4)))
 
 
 def test_misordered_analysis_keeps_the_mean_and_its_own_covariance():
@@ -184,7 +192,7 @@ def test_misordered_analysis_keeps_the_mean_and_its_own_covariance():
     for seed in range(20):
         inst = random_instance(seed, ALL_CATEGORIES[seed % len(ALL_CATEGORIES)])
         correct = analyze(inst.ensemble, inst.observation)
-        mis = misordered_analysis(inst.ensemble, inst.observation, seed)
+        mis = misordered_analysis(inst.ensemble, inst.observation)
         np.testing.assert_array_equal(mis.mean, correct.mean)
         za = mis.perturbations
         np.testing.assert_array_equal(mis.covariance, za @ za.T)
@@ -348,14 +356,23 @@ def test_analyze_tiny_spread(scale):
     np.testing.assert_allclose(result.mean / unit, ens.mean / unit, rtol=0, atol=1e-13)
 
 
+def test_analysis_below_the_normal_range_names_its_scale():
+    # the forecast perturbations pass their 1e-13 centering guard, but Z @ T
+    # rounds to a fixed step of 4.9e-324 that re-centering cannot remove
+    members = np.random.default_rng(62).standard_normal((3, 5)) * 1e-312
+    obs = ObservationModel(operator=np.eye(3), covariance=np.ones(3), observation=np.zeros(3))
+    with pytest.raises(ValueError, match=r"rows must sum to zero.*norm .* is below .* 2\.2e-308"):
+        analyze(ForecastEnsemble(members), obs)
+
+
 def test_analyze_deterministic():
     inst = random_instance(123, "generic")
     a = analyze(inst.ensemble, inst.observation)
     b = analyze(inst.ensemble, inst.observation)
     np.testing.assert_array_equal(a.perturbations, b.perturbations)
     np.testing.assert_array_equal(a.mean, b.mean)
-    m1 = misordered_analysis(inst.ensemble, inst.observation, 7)
-    m2 = misordered_analysis(inst.ensemble, inst.observation, 7)
+    m1 = misordered_analysis(inst.ensemble, inst.observation)
+    m2 = misordered_analysis(inst.ensemble, inst.observation)
     np.testing.assert_array_equal(m1.perturbations, m2.perturbations)
 
 
@@ -428,8 +445,8 @@ def test_truncation_identity():
 
 @pytest.mark.parametrize("ordering", ["correct", "misordered"])
 def test_rank_cut_equals_pinv_product(ordering):
-    # the transform keeps the leading rank columns of the (permuted) scaled
-    # eigenvectors, which is exactly what pinv(sig) @ sig does
+    # the transform keeps the leading rank columns of the (ordered or
+    # reversed) scaled eigenvectors, which is exactly what pinv(sig) @ sig does
     for seed in range(40):
         inst = random_instance(seed, ALL_CATEGORIES[seed % len(ALL_CATEGORIES)])
         pert = perturbation_matrix(inst.ensemble)
@@ -442,7 +459,7 @@ def test_rank_cut_equals_pinv_product(ordering):
         if ordering == "correct":
             perm = np.arange(pert.size)
         else:
-            perm = displacing_permutation(pert, seed)[1]
+            perm = ascending_order(pert)[1]
         scaled = eig.vectors[:, perm] / np.sqrt(1.0 + eig.values[perm])
         expected = scaled @ truncation @ f.right.T
         if ordering == "correct":
@@ -450,23 +467,33 @@ def test_rank_cut_equals_pinv_product(ordering):
             np.testing.assert_allclose(adjustment_matrix(f, eig), expected, rtol=0, atol=atol)
         else:
             # the misordered transform is applied, not returned: compare Z @ T
-            za = misordered_analysis(inst.ensemble, inst.observation, seed).perturbations
+            za = misordered_analysis(inst.ensemble, inst.observation).perturbations
             expected = pert.matrix @ expected
             atol = 1e-14 * max(np.linalg.norm(expected), 1.0)
             np.testing.assert_allclose(za, expected, rtol=0, atol=atol)
 
 
 def test_misordering_under_disperses():
-    for seed in range(30):
-        inst = random_instance(seed, "generic")
-        correct = analyze(inst.ensemble, inst.observation)
-        mis = misordered_analysis(inst.ensemble, inst.observation, seed)
-        t_correct = np.trace(correct.covariance)
+    # every category: a cut that drops a live column (any rank >= 1, since
+    # rank < m) loses trace against the oracle; at rank 0 (zero_spread)
+    # nothing is cut
+    for seed in range(60):
+        inst = random_instance(seed, ALL_CATEGORIES[seed % len(ALL_CATEGORIES)])
+        ens, obs = inst.ensemble, inst.observation
+        pert = perturbation_matrix(ens)
+        correct = analyze(ens, obs)
+        mis = misordered_analysis(ens, obs)
+        t_oracle = np.trace(posterior_cov_direct(forecast_cov(pert), obs))
         t_mis = np.trace(mis.covariance)
-        assert t_mis <= t_correct + 1e-10 * max(t_correct, 1.0)
-        r, permutation = displacing_permutation(perturbation_matrix(inst.ensemble), seed)
-        if np.any(permutation[:r] >= r) and r > 0:
-            assert t_mis < t_correct
+        r, order = ascending_order(pert)
+        assert r < pert.size
+        if r == 0:
+            np.testing.assert_array_equal(mis.perturbations, correct.perturbations)
+            np.testing.assert_array_equal(mis.mean, correct.mean)
+        else:
+            assert np.any(order[:r] >= r)
+            assert t_mis < t_oracle
+            assert t_mis < np.trace(correct.covariance)
 
 
 def test_sign_convention_invariance_of_posterior():
