@@ -6,7 +6,8 @@ are enforced that general-purpose solvers do not guarantee:
 * the SVD of a rank-``r`` matrix ``M = U_r diag(s) B.T`` must come with the
   full ``(m, m)`` right factor ``[B, B_null]``, so the rank-``r`` cut the
   paper writes as ``pinv(Sig) @ Sig`` (``Sig`` the rectangular ``(r, m)``
-  singular-value factor) is simply the leading ``r`` columns, and
+  singular-value factor) is simply the leading ``r`` columns (``U_r`` is
+  never needed, and ``svd_full`` never forms it), and
 * the eigendecomposition of the observation-space matrix ``S = Y.T @ Y``
   (``Y`` the whitened observed perturbations) must place eigenvectors lying
   in the null space of the decomposed perturbation matrix in the *trailing*
@@ -23,8 +24,9 @@ are the squared singular values of ``Y``, so they keep the accuracy of ``Y``
 instead of the squared conditioning of an explicit Gram matrix.
 
 Both routines fix the sign LAPACK leaves free in each singular pair by one
-pivot rule, so their factors, and the analysis ensemble built from them, do
-not depend on the LAPACK build (up to repeated singular values).
+pivot rule on the columns of their right factors, so those factors, and the
+analysis ensemble built from them, do not depend on the LAPACK build (up to
+repeated singular values).
 
 ``pinv_rect_diag`` is the paper's rectangular pseudoinverse, kept as the
 reference the rank-``r`` cut is tested against; the analysis does not call it.
@@ -49,12 +51,10 @@ _BASIS_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Rank-revealing SVD ``M = left @ diag(singular_values) @ right[:, :rank].T``.
+    """Rank-revealing SVD ``M = L @ diag(singular_values) @ right[:, :rank].T``; ``L`` is not kept.
 
     Attributes
     ----------
-    left : ndarray, shape (n, r)
-        Orthonormal columns spanning the range of the input.
     singular_values : ndarray, shape (r,)
         The retained singular values in strictly decreasing order, all
         positive; ``r`` is the rank.
@@ -67,15 +67,13 @@ class SvdFactors:
     checks it instead of every construction.
     """
 
-    left: np.ndarray
     singular_values: np.ndarray
     right: np.ndarray
 
     def __post_init__(self):
         r = self.rank
-        n = self.left.shape[0]
         m = self.right.shape[0]
-        if self.singular_values.shape != (r,) or self.left.shape != (n, r) or r > m:
+        if self.singular_values.shape != (r,) or r > m:
             raise ValueError("SvdFactors: inconsistent factor shapes")
         if self.right.shape != (m, m):
             raise ValueError("SvdFactors: right factor must be square")
@@ -97,9 +95,6 @@ class SvdFactors:
     def null_space_basis(self) -> np.ndarray:
         """Trailing columns of ``right`` (null space of the input)."""
         return self.right[:, self.rank :]
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.row_space_basis().T
 
 
 @dataclass(frozen=True)
@@ -139,6 +134,12 @@ class OrderedEigen:
 def svd_full(matrix) -> SvdFactors:
     """Rank-revealing SVD with a deterministic sign convention.
 
+    The input ``Z`` is first reduced to its ``(min(n, m), m)`` triangular
+    factor ``R`` (``Z = Q R``, ``Q`` discarded), and ``R`` is decomposed:
+    ``Z`` and ``R`` share their singular values and right factor, so no
+    ``n``-row factor is formed (Chan's R-SVD). The QR costs ``O(n m^2)``
+    time for ``n >= m``, the SVD of ``R`` ``O(m^3)``.
+
     Parameters
     ----------
     matrix : array_like, shape (n, m)
@@ -148,29 +149,25 @@ def svd_full(matrix) -> SvdFactors:
     Returns
     -------
     SvdFactors
-        Factors satisfying ``reconstruct() == matrix`` to rounding. Signs
-        are fixed so that in every retained left singular vector the entry
-        of largest magnitude (smallest index on ties) is positive, with the
-        paired right singular vector flipped to match;
-        the same rule is applied to the trailing (null-space) columns of
-        ``right`` on their own.
+        Factors with ``matrix @ B @ B.T == matrix`` to rounding, where ``B``
+        is the row-space basis. Signs are fixed so that in every column of
+        ``right``, row space and null space alike, the entry of largest
+        magnitude (smallest index on ties) is positive.
     """
     arr = require_matrix(matrix, "svd_full input")
     n, m = arr.shape
     if n == 0 or m == 0:
         raise ValueError("svd_full: empty matrix")
-    # The right factor must be the full (m, m) one; the full (n, n) left one
-    # is never needed, and a thin SVD already gives an (m, m) right factor
-    # when n >= m.
-    u, s, vt = np.linalg.svd(arr, full_matrices=n < m)
+    # The triangle has at most m rows, so its full SVD gives the (m, m)
+    # right factor and a left factor of at most (m, m), which is dropped.
+    _, s, vt = np.linalg.svd(np.linalg.qr(arr, mode="r"))
     threshold = RANK_TOL * float(s[0]) * max(n, m)
     rank = int(np.count_nonzero(s > threshold))
 
-    # u and vt are fresh arrays: sign them in place instead of copying
-    left = u[:, :rank]
-    vt[:rank] *= _pivot_signs(left)[:, None]
-    _pivot_signs(vt[rank:].T)
-    return SvdFactors(left=left, singular_values=s[:rank], right=vt.T)
+    # vt is a fresh array: sign it in place instead of copying
+    right = vt.T
+    _pivot_signs(right)
+    return SvdFactors(singular_values=s[:rank], right=right)
 
 
 def _pivot_signs(columns: np.ndarray) -> np.ndarray:

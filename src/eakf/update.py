@@ -24,13 +24,16 @@ coordinates, so this is the rank-``r`` cut
 
     T = C[:, :r] @ diag(1 / sqrt(1 + g[:r])) @ B.T,    B = right[:, :r]
 
-which is all this module forms. ``S = Y.T @ Y`` is not formed either: ``g``
-and ``C`` come from an SVD of the whitened ``Y = inv(L) H Z`` (``R = L L.T``;
-the observation model factors ``R`` once and whitens), and so do the mean
-update and, on request, the Kalman gain. Nor is the ``(n, n)`` covariance
-``Za @ Za.T``: :class:`AnalysisResult` forms it the first time it is read, so
-:func:`analyze` costs ``O((n + p) m^2 + p n m)`` time and ``O((n + p) m)``
-memory.
+which is all this module forms. ``left`` drops out, and
+:func:`eakf.linalg.svd_full` never forms it: it reads the singular values and
+``right`` off the SVD of the ``(min(n, m), m)`` triangle of a QR of ``Z``.
+``S = Y.T @ Y`` is not formed either: ``g`` and ``C`` come from an SVD of the
+whitened ``Y = inv(L) H Z`` (``R = L L.T``; the observation model factors
+``R`` once and whitens), and so do the mean update and, on request, the
+Kalman gain. Nor is the ``(n, n)`` covariance ``Za @ Za.T``:
+:class:`AnalysisResult` forms it the first time it is read. So
+:func:`analyze` costs ``O((n + p) m^2 + p n m)`` time, of which ``Z`` takes
+one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and ``O((n + p) m)`` memory.
 
 Two implementation details decide whether this is exact or silently wrong:
 

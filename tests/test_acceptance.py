@@ -195,7 +195,14 @@ def test_criterion_6_structural_invariants(tmp_path):
         rows_worst = max(rows_worst, rows)
         if pert.matrix.any():
             f = svd_full(pert.matrix)
-            svd_rel = np.linalg.norm(f.reconstruct() - pert.matrix) / np.linalg.norm(pert.matrix)
+            # Z B B.T = Z and Z B_null = 0: the factors read Z's row space
+            # without a left factor
+            b = f.row_space_basis()
+            scale = np.linalg.norm(pert.matrix)
+            svd_rel = max(
+                np.linalg.norm(pert.matrix @ b @ b.T - pert.matrix),
+                np.linalg.norm(pert.matrix @ f.null_space_basis()),
+            ) / scale
             svd_worst = max(svd_worst, svd_rel)
             gram = (inst.observation.operator @ pert.matrix).T
             s = gram @ np.linalg.solve(inst.observation.covariance, gram.T)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,30 +10,52 @@ from eakf.linalg import OrderedEigen, SvdFactors, ordered_eig_psd, pinv_rect_dia
 RNG_SHAPES = [(1, 2), (2, 2), (3, 5), (5, 3), (4, 12), (20, 12), (12, 7)]
 
 
+def assert_factors_of(f, matrix, tol=1e-12):
+    """What the factors of ``matrix`` promise without a left factor, at ``tol`` relative.
+
+    ``Z B B.T = Z`` and ``Z B_null = 0``, and the singular values are those
+    of ``numpy.linalg.svd(Z)``, whose trailing ones past the rank are below
+    ``tol`` relative.
+    """
+    scale = np.linalg.norm(matrix)
+    b = f.row_space_basis()
+    assert np.linalg.norm(matrix @ b @ b.T - matrix) <= tol * scale
+    assert np.linalg.norm(matrix @ f.null_space_basis()) <= tol * scale
+    sigma = np.linalg.svd(matrix, compute_uv=False)
+    np.testing.assert_allclose(f.singular_values, sigma[: f.rank], rtol=0, atol=tol * sigma[0])
+    assert np.all(sigma[f.rank :] <= tol * sigma[0])
+
+
+def assert_pivots_positive(columns):
+    """Each column's largest-magnitude entry (first on ties) is positive."""
+    pivots = columns[np.abs(columns).argmax(axis=0), np.arange(columns.shape[1])]
+    assert np.all(pivots > 0.0), pivots
+
+
 def test_svd_identity():
     f = svd_full(np.eye(2))
     assert f.rank == 2
-    np.testing.assert_array_equal(f.left, np.eye(2))
     np.testing.assert_array_equal(f.singular_values, [1.0, 1.0])
     np.testing.assert_array_equal(f.right, np.eye(2))
 
 
 def test_svd_row_vector_example():
-    # [1, -1] has a single singular value sqrt(2); under the sign convention
-    # the row-space vector is (1, -1)/sqrt(2) and the null vector (1, 1)/sqrt(2).
+    # [1, -1] has a single singular value sqrt(2); the row-space vector is
+    # +-(1, -1)/sqrt(2), its entries tying but for rounding, which then picks
+    # the sign; the null vector is (1, 1)/sqrt(2).
     f = svd_full(np.array([[1.0, -1.0]]))
     assert f.rank == 1
-    np.testing.assert_allclose(f.left, [[1.0]])
     np.testing.assert_allclose(f.singular_values, [np.sqrt(2.0)])
-    np.testing.assert_allclose(f.right[:, 0], np.array([1.0, -1.0]) / np.sqrt(2.0))
+    np.testing.assert_allclose(f.right[:, 0] * f.right[0, 0], np.array([1.0, -1.0]) / 2.0)
     np.testing.assert_allclose(f.right[:, 1], np.array([1.0, 1.0]) / np.sqrt(2.0))
-    np.testing.assert_allclose(f.reconstruct(), [[1.0, -1.0]], atol=1e-15)
+    assert_pivots_positive(f.right)
+    assert_factors_of(f, np.array([[1.0, -1.0]]), tol=1e-15)
 
 
 def test_svd_zero_matrix():
     f = svd_full(np.zeros((2, 3)))
     assert f.rank == 0
-    assert f.left.shape == (2, 0)
+    assert f.row_space_basis().shape == (3, 0)
     assert f.singular_values.shape == (0,)
     np.testing.assert_allclose(f.right.T @ f.right, np.eye(3), atol=1e-15)
 
@@ -41,9 +65,7 @@ def test_svd_reconstruction_and_orthogonality(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     m = rng.standard_normal(shape)
     f = svd_full(m)
-    scale = np.linalg.norm(m)
-    assert np.linalg.norm(f.reconstruct() - m) <= 1e-12 * scale
-    np.testing.assert_allclose(f.left.T @ f.left, np.eye(f.rank), atol=1e-13)
+    assert_factors_of(f, m)
     np.testing.assert_allclose(f.right.T @ f.right, np.eye(shape[1]), atol=1e-13)
     np.testing.assert_allclose(f.right @ f.right.T, np.eye(shape[1]), atol=1e-13)
     assert f.rank <= min(shape)
@@ -54,10 +76,12 @@ def test_svd_of_perturbations_is_orthonormal(category):
     # SvdFactors does not re-check this on construction; these are the
     # thresholds it used, on the matrices analyze factors
     for seed in range(20):
-        f = svd_full(perturbation_matrix(random_instance(seed, category).ensemble).matrix)
-        r, m = f.rank, f.right.shape[0]
-        assert np.linalg.norm(f.left.T @ f.left - np.eye(r)) <= 1e-10 * max(r, 1), (category, seed)
+        z = perturbation_matrix(random_instance(seed, category).ensemble).matrix
+        f = svd_full(z)
+        m = f.right.shape[0]
         assert np.linalg.norm(f.right.T @ f.right - np.eye(m)) <= 1e-10 * max(m, 1), (category, seed)
+        if z.any():
+            assert_factors_of(f, z)
 
 
 def test_svd_rank_deficient_input():
@@ -66,17 +90,14 @@ def test_svd_rank_deficient_input():
     m = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 5))
     f = svd_full(m)
     assert f.rank == 2
-    assert np.linalg.norm(f.reconstruct() - m) <= 1e-12 * np.linalg.norm(m)
+    assert_factors_of(f, m)
 
 
 def test_svd_sign_convention():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((6, 4))
     f = svd_full(m)
-    for j in range(f.rank):
-        col = f.left[:, j]
-        assert col[int(np.argmax(np.abs(col)))] > 0.0
-    for j in range(f.rank, 4):
+    for j in range(4):
         col = f.right[:, j]
         assert col[int(np.argmax(np.abs(col)))] > 0.0
 
@@ -85,34 +106,26 @@ def test_svd_sign_ties_go_to_the_smallest_index(monkeypatch):
     # exact Hadamard factors: every entry of a column ties in magnitude, so
     # the first entry decides its sign
     h = 0.5 * np.array([[1.0, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-    u = h * [1.0, -1.0, 1.0, 1.0]  # retained column 1 starts negative
-    right = h * [1.0, 1.0, -1.0, 1.0]  # null-space column 2 starts negative
+    # retained column 1 and null-space column 2 start negative
+    right = h * [1.0, -1.0, -1.0, 1.0]
     s = np.array([3.0, 2.0, 0.0, 0.0])
-    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices: (u, s, right.T))
+    monkeypatch.setattr(np.linalg, "svd", lambda a, full_matrices=True: (h, s, right.T))
     f = svd_full(np.ones((4, 4)))
     assert f.rank == 2
-    np.testing.assert_array_equal(f.left, h[:, :2])
-    # the retained flip carries over to the paired right column
-    np.testing.assert_array_equal(f.right, h * [1.0, -1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(f.right, h)
 
 
 def _loop_sign_factors(matrix):
-    """The per-column sign loop svd_full used before it was vectorized."""
+    """The rank and right factor of the triangle's SVD, signed by a per-column loop."""
     n, m = matrix.shape
-    u, s, vt = np.linalg.svd(matrix, full_matrices=n < m)
+    s, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r"))[1:]
     rank = int(np.count_nonzero(s > np.finfo(np.float64).eps * float(s[0]) * max(n, m)))
-    left = u[:, :rank].copy()
     right = vt.T.copy()
-    for j in range(rank):
-        pivot = int(np.argmax(np.abs(left[:, j])))
-        if left[pivot, j] < 0.0:
-            left[:, j] *= -1.0
-            right[:, j] *= -1.0
-    for j in range(rank, m):
+    for j in range(m):
         pivot = int(np.argmax(np.abs(right[:, j])))
         if right[pivot, j] < 0.0:
             right[:, j] *= -1.0
-    return left, right
+    return rank, right
 
 
 @pytest.mark.parametrize("shape", RNG_SHAPES)
@@ -120,9 +133,10 @@ def test_svd_signs_match_the_column_loop(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     for matrix in (rng.standard_normal(shape), rng.standard_normal((shape[0], 1)) @ rng.standard_normal((1, shape[1]))):
         f = svd_full(matrix)
-        left, right = _loop_sign_factors(matrix)
-        np.testing.assert_array_equal(f.left, left)
+        rank, right = _loop_sign_factors(matrix)
+        assert f.rank == rank
         np.testing.assert_array_equal(f.right, right)
+        assert_pivots_positive(f.right)
 
 
 def test_svd_deterministic():
@@ -130,9 +144,23 @@ def test_svd_deterministic():
     m = rng.standard_normal((8, 5))
     f1 = svd_full(m)
     f2 = svd_full(m.copy())
-    np.testing.assert_array_equal(f1.left, f2.left)
     np.testing.assert_array_equal(f1.singular_values, f2.singular_values)
     np.testing.assert_array_equal(f1.right, f2.right)
+
+
+@pytest.mark.parametrize("n, m", [(2000, 20), (20000, 10)])
+def test_svd_peak_memory(n, m):
+    # numpy allocates one copy of the input for the QR, and no (n, r) left
+    # factor is formed; a thin SVD of Z peaked at three (n, m) arrays
+    z = np.random.default_rng(0).standard_normal((n, m))
+    tracemalloc.start()
+    try:
+        f = svd_full(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * z.nbytes, peak / z.nbytes
+    assert f.rank == m
 
 
 def test_svd_errors():
@@ -162,7 +190,7 @@ def test_svd_errors():
 def test_svd_factors_reject_bad_singular_values(sigma):
     # every comparison with nan is False: the checks must assert, not refute
     with pytest.raises(ValueError, match="singular values must be positive and descending"):
-        SvdFactors(left=np.zeros((3, len(sigma))), singular_values=np.array(sigma), right=np.eye(3))
+        SvdFactors(singular_values=np.array(sigma), right=np.eye(3))
 
 
 @pytest.mark.parametrize(
@@ -316,6 +344,6 @@ def test_ordered_eig_rejects_a_nan_null_basis():
     f = svd_full(np.array([[1.0, -1.0]]))
     right = f.right.copy()
     right[0, -1] = np.nan
-    bad = SvdFactors(left=f.left, singular_values=f.singular_values, right=right)
+    bad = SvdFactors(singular_values=f.singular_values, right=right)
     with pytest.raises(ValueError, match="not finite"):
         ordered_eig_psd(np.array([[1.0, -1.0]]) / np.sqrt(2.0), bad)

@@ -8,7 +8,7 @@ from eakf.demo import misordered_analysis
 from eakf.ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
-from eakf.oracle import compare_cov, posterior_cov_direct
+from eakf.oracle import compare_cov, posterior_cov_direct, posterior_cov_woodbury
 from eakf.update import (
     AnalysisResult,
     adjustment_matrix,
@@ -394,11 +394,12 @@ def test_analyze_does_not_depend_on_the_input_layout():
 
 
 def test_analysis_ensemble_does_not_depend_on_the_lapack_signs(monkeypatch):
-    # Another LAPACK build may return any singular pair negated. Both SVDs of
-    # the analysis must undo that, or Za changes while its covariance does not.
+    # Another LAPACK build may return any singular pair negated, and any row
+    # of the QR triangle of Z with its Householder reflector. Both SVDs of the
+    # analysis must undo that, or Za changes while its covariance does not.
     instances = [random_instance(seed, "generic") for seed in range(200)]
     expected = [analyze(inst.ensemble, inst.observation) for inst in instances]
-    svd = np.linalg.svd
+    svd, qr = np.linalg.svd, np.linalg.qr
 
     def alternate_pairs_negated(a, full_matrices=True):
         u, s, vt = svd(a, full_matrices=full_matrices)
@@ -406,12 +407,59 @@ def test_analysis_ensemble_does_not_depend_on_the_lapack_signs(monkeypatch):
         vt[: s.size : 2] *= -1.0
         return u, s, vt
 
-    monkeypatch.setattr(np.linalg, "svd", alternate_pairs_negated)
-    for inst, base in zip(instances, expected):
-        got = analyze(inst.ensemble, inst.observation)
-        za = base.perturbations
-        assert np.abs(got.perturbations - za).max() <= 1e-14 * np.abs(za).max(), inst.seed
-        assert np.abs(got.mean - base.mean).max() <= 1e-14 * np.abs(base.mean).max(), inst.seed
+    def alternate_rows_negated(a, mode="reduced"):
+        r = qr(a, mode=mode)
+        r[::2] *= -1.0
+        return r
+
+    patches = [("svd", alternate_pairs_negated), ("qr", alternate_rows_negated)]
+    for patched in (patches[:1], patches[1:], patches):
+        with monkeypatch.context() as context:
+            for name, replacement in patched:
+                context.setattr(np.linalg, name, replacement)
+            for inst, base in zip(instances, expected):
+                got = analyze(inst.ensemble, inst.observation)
+                za = base.perturbations
+                where = (inst.seed, [name for name, _ in patched])
+                assert np.abs(got.perturbations - za).max() <= 1e-14 * np.abs(za).max(), where
+                assert np.abs(got.mean - base.mean).max() <= 1e-14 * np.abs(base.mean).max(), where
+
+
+def _woodbury_and_gain_mean(ens, obs):
+    """The Woodbury posterior covariance and the mean through an explicit gain.
+
+    The gain ``Z V (V.T V + R)^-1`` with ``V = (H Z).T`` and a variance-vector
+    ``R`` is formed densely, without the package's factors.
+    """
+    pert = perturbation_matrix(ens)
+    hz = obs.operator @ pert.matrix
+    innovation = obs.observation - obs.operator @ ens.mean
+    increment = pert.matrix @ (hz.T @ np.linalg.solve(hz @ hz.T + np.diag(obs.covariance), innovation))
+    return posterior_cov_woodbury(pert, obs), ens.mean + increment
+
+
+@pytest.mark.parametrize("directions", [None, 10], ids=["full-rank", "rank-10"])
+def test_analyze_is_exact_where_the_qr_shrinks_the_input(directions):
+    # n = 2000 rows reduce to a 40 x 40 triangle; in the rank-10 ensemble the
+    # rank threshold cuts 30 of the triangle's 40 singular values
+    n, m, p = 2000, 40, 100
+    rng = np.random.default_rng(13)
+    if directions is None:
+        members = rng.standard_normal((n, m))
+    else:
+        members = rng.standard_normal((n, directions)) @ rng.standard_normal((directions, m))
+    ens = ForecastEnsemble(members)
+    obs = ObservationModel(
+        operator=rng.standard_normal((p, n)) / np.sqrt(n),
+        covariance=rng.uniform(0.5, 2.0, p),
+        observation=rng.standard_normal(p),
+    )
+    rank = m - 1 if directions is None else directions
+    assert svd_full(perturbation_matrix(ens).matrix).rank == rank
+    res = analyze(ens, obs)
+    cov, mean = _woodbury_and_gain_mean(ens, obs)
+    assert compare_cov(res.covariance, cov, 1e-10).passed
+    assert np.linalg.norm(res.mean - mean) <= 1e-10 * np.linalg.norm(mean)
 
 
 # ------------------------------------------------------------------ theorems
@@ -497,9 +545,9 @@ def test_misordering_under_disperses():
 
 
 def test_sign_convention_invariance_of_posterior():
-    # flipping the sign of any matched (left, right) singular-vector pair, or
-    # of any trailing null vector, is still a valid SVD; the analysis
-    # covariance must not change
+    # flipping the sign of any column of the right factor, row space or null
+    # space, is still a valid SVD (with the unformed left column flipped to
+    # match); the analysis covariance must not change
     for seed in range(8):
         inst = random_instance(seed, "generic")
         pert = perturbation_matrix(inst.ensemble)
@@ -508,16 +556,8 @@ def test_sign_convention_invariance_of_posterior():
         if f.rank == 0:
             continue
         rng = np.random.default_rng(seed + 1000)
-        left = f.left.copy()
-        right = f.right.copy()
-        for j in range(f.rank):
-            if rng.random() < 0.5:
-                left[:, j] *= -1.0
-                right[:, j] *= -1.0
-        for j in range(f.rank, right.shape[1]):
-            if rng.random() < 0.5:
-                right[:, j] *= -1.0
-        flipped = SvdFactors(left=left, singular_values=f.singular_values, right=right)
+        right = f.right * np.where(rng.random(f.right.shape[1]) < 0.5, -1.0, 1.0)
+        flipped = SvdFactors(singular_values=f.singular_values, right=right)
 
         def posterior(factors):
             eig = ordered_eig_psd(y, factors)
