@@ -1,10 +1,11 @@
 """Command-line interface: verify, demo-pitfall, assimilate, twin.
 
-Exit codes: 0 pass, 1 verification/demonstration failure, 2 usage or input
-error. ``verify``, ``demo-pitfall`` and ``assimilate`` judge every analysis
-covariance at the fixed 1e-10 contract of :data:`eakf.oracle.TOLERANCE`. All
-commands are deterministic given their seed; reports carry a ``timestamp``
-field that callers should ignore when comparing runs.
+Exit codes: 0 pass, 1 verification/demonstration failure, 2 usage, input or
+output error. ``verify``, ``demo-pitfall`` and ``assimilate`` judge every
+analysis covariance at the fixed 1e-10 contract of
+:data:`eakf.oracle.TOLERANCE`. All commands are deterministic given their
+seed; reports carry a ``timestamp`` field that callers should ignore when
+comparing runs.
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _HANDLERS[args.command](args)
-    except (MatrixFileError, ValueError, np.linalg.LinAlgError) as exc:
+    # MatrixFileError is a ValueError; OSError covers unwritable output paths
+    except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -83,7 +83,6 @@ def run_pitfall_demo(seed: int) -> dict:
     )
 
     rows = []
-    all_ok = True
     for name, ensemble, model in instances:
         pert = perturbation_matrix(ensemble)
         oracle_cov = posterior_cov_direct(forecast_cov(pert), model)
@@ -91,8 +90,6 @@ def run_pitfall_demo(seed: int) -> dict:
         misordered = misordered_analysis(ensemble, model)
         correct_cmp = compare_cov(correct.covariance, oracle_cov)
         deficit = float(np.trace(oracle_cov) - np.trace(misordered.covariance))
-        ok = correct_cmp.passed and deficit > 0.0
-        all_ok = all_ok and ok
         rows.append(
             {
                 "name": name,
@@ -101,7 +98,7 @@ def run_pitfall_demo(seed: int) -> dict:
                 "misordered_trace": float(np.trace(misordered.covariance)),
                 "deficit": deficit,
                 "correct_passed": correct_cmp.passed,
-                "passed": ok,
+                "passed": correct_cmp.passed and deficit > 0.0,
             }
         )
     return {
@@ -110,7 +107,7 @@ def run_pitfall_demo(seed: int) -> dict:
         "seed": seed,
         "tolerance": TOLERANCE,
         "instances": rows,
-        "passed": all_ok,
+        "passed": all(row["passed"] for row in rows),
     }
 
 

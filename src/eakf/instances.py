@@ -49,22 +49,6 @@ class RandomInstance:
     seed: int
 
 
-def category_pool(
-    include_rank_deficient: bool = False,
-    include_partial_obs: bool = False,
-    include_zero_h: bool = False,
-) -> list[str]:
-    """Categories cycled through by the verification sweep."""
-    pool = [GENERIC, ZERO_SPREAD]
-    if include_rank_deficient:
-        pool.append(RANK_DEFICIENT)
-    if include_partial_obs:
-        pool.append(PARTIAL_OBS)
-    if include_zero_h:
-        pool.append(ZERO_H)
-    return pool
-
-
 def _draw_spd(rng: np.random.Generator, p: int) -> np.ndarray:
     """Random SPD matrix ``D + L L.T`` with condition number capped at 1e4."""
     low = rng.standard_normal((p, p))

@@ -53,7 +53,7 @@ def run_twin(cfg: TwinConfig) -> dict:
     truth = rng.standard_normal(cfg.n)
     members = rng.standard_normal((cfg.n, cfg.m))
 
-    series: list[tuple[int, float, float]] = []
+    series = []
     for step in range(1, cfg.steps + 1):
         truth = DYNAMICS_DECAY * truth + model_std * rng.standard_normal(cfg.n)
         members = DYNAMICS_DECAY * members + model_std * rng.standard_normal((cfg.n, cfg.m))
@@ -66,14 +66,14 @@ def run_twin(cfg: TwinConfig) -> dict:
         rmse = float(np.linalg.norm(result.mean - truth) / np.sqrt(cfg.n))
         # trace(Za @ Za.T) without forming the (n, n) covariance
         spread = float(np.sqrt(np.sum(result.perturbations**2) / cfg.n))
-        series.append((step, rmse, spread))
+        series.append({"step": step, "rmse": rmse, "spread": spread})
 
     # the steps past steps // 2; every step is analyzed, so row i is step i + 1
     tail = series[cfg.steps // 2 :]
-    rmse_mean = float(np.mean([r for _, r, _ in tail]))
-    spread_mean = float(np.mean([sp for _, _, sp in tail]))
+    rmse_mean = float(np.mean([row["rmse"] for row in tail]))
+    spread_mean = float(np.mean([row["spread"] for row in tail]))
     ratio = spread_mean / rmse_mean if rmse_mean > 0.0 else float("inf")
-    finite = bool(np.all(np.isfinite([v for row in series for v in row[1:]])))
+    finite = bool(np.all(np.isfinite([[row["rmse"], row["spread"]] for row in series])))
     return {
         "schema": SCHEMA_VERSION,
         "command": "twin",
@@ -82,11 +82,9 @@ def run_twin(cfg: TwinConfig) -> dict:
         "rmse_mean_last_half": rmse_mean,
         "spread_mean_last_half": spread_mean,
         "spread_rmse_ratio": ratio,
-        "rmse_final": series[-1][1],
+        "rmse_final": series[-1]["rmse"],
         "all_finite": finite,
-        "series": [
-            {"step": s, "rmse": r, "spread": sp} for s, r, sp in series
-        ],
+        "series": series,
     }
 
 

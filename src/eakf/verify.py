@@ -9,10 +9,11 @@ the three oracle routes (direct, reduced, Woodbury) on the same instance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .ensemble import forecast_cov, perturbation_matrix
-from .instances import category_pool, random_instance
+from .instances import ALL_CATEGORIES, random_instance
 from .oracle import (
     TOLERANCE,
     compare_cov,
@@ -40,16 +41,10 @@ class VerifyConfig:
 
 def run_verify(cfg: VerifyConfig) -> dict:
     """Run the sweep and return the JSON-ready report (no timestamp)."""
-    pool = category_pool(
-        include_rank_deficient=cfg.include_rank_deficient,
-        include_partial_obs=cfg.include_partial_obs,
-        include_zero_h=cfg.include_zero_h,
-    )
+    # generic and zero_spread always run; the flags add the other three
+    flags = (True, True, cfg.include_rank_deficient, cfg.include_partial_obs, cfg.include_zero_h)
+    pool = [category for category, on in zip(ALL_CATEGORIES, flags) if on]
     trials = []
-    categories: dict[str, int] = {}
-    max_rel = 0.0
-    chain_max_rel = 0.0
-    failed = 0
     for index in range(cfg.trials):
         category = pool[index % len(pool)]
         inst = random_instance(cfg.seed + index, category)
@@ -61,11 +56,6 @@ def run_verify(cfg: VerifyConfig) -> dict:
         reduced_cmp = compare_cov(posterior_cov_reduced(pert, inst.observation), direct)
         woodbury_cmp = compare_cov(posterior_cov_woodbury(pert, inst.observation), direct)
 
-        ok = analysis_cmp.passed and reduced_cmp.passed and woodbury_cmp.passed
-        failed += 0 if ok else 1
-        max_rel = max(max_rel, analysis_cmp.frobenius_rel)
-        chain_max_rel = max(chain_max_rel, reduced_cmp.frobenius_rel, woodbury_cmp.frobenius_rel)
-        categories[category] = categories.get(category, 0) + 1
         trials.append(
             {
                 "trial": index,
@@ -77,19 +67,22 @@ def run_verify(cfg: VerifyConfig) -> dict:
                 "analysis_vs_direct": analysis_cmp.frobenius_rel,
                 "reduced_vs_direct": reduced_cmp.frobenius_rel,
                 "woodbury_vs_direct": woodbury_cmp.frobenius_rel,
-                "passed": ok,
+                "passed": analysis_cmp.passed and reduced_cmp.passed and woodbury_cmp.passed,
             }
         )
+    failed = sum(not row["passed"] for row in trials)
     return {
         "schema": SCHEMA_VERSION,
         "command": "verify",
         "config": asdict(cfg),
         "tolerance": TOLERANCE,
-        "categories": dict(sorted(categories.items())),
+        "categories": dict(sorted(Counter(row["category"] for row in trials).items())),
         "trials_total": cfg.trials,
         "trials_failed": failed,
-        "max_rel_err": max_rel,
-        "oracle_chain_max_rel_err": chain_max_rel,
+        "max_rel_err": max(row["analysis_vs_direct"] for row in trials),
+        "oracle_chain_max_rel_err": max(
+            max(row["reduced_vs_direct"], row["woodbury_vs_direct"]) for row in trials
+        ),
         "passed": failed == 0,
         "trials": trials,
     }

@@ -13,7 +13,7 @@ import numpy as np
 from eakf.cli import main as cli_main
 from eakf.demo import misordered_analysis
 from eakf.ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
-from eakf.instances import category_pool, random_instance
+from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import ordered_eig_psd, svd_full
 from eakf.oracle import (
     compare_cov,
@@ -43,9 +43,8 @@ def announce(number: int, ok: bool, detail: str) -> None:
 
 
 def sweep():
-    pool = category_pool(True, True, True)
     for index in range(SWEEP_TRIALS):
-        yield random_instance(index, pool[index % len(pool)])
+        yield random_instance(index, ALL_CATEGORIES[index % len(ALL_CATEGORIES)])
 
 
 def scalar_case():

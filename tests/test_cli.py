@@ -192,6 +192,27 @@ def test_assimilate_shape_mismatch(tmp_path, capsys):
     assert "H.csv" in err and "p x 1" in err
 
 
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("E.csv", "1\n", "expected at least 2 member columns (n x m with m >= 2), got 1"),
+        ("R.csv", "2,0\n0,2\n", "expected a 1 x 1 covariance or a 1 x 1 variance column, got 2 x 2"),
+        ("y.csv", "1\n0\n", "expected a 1 x 1 observation column, got 2 rows"),
+    ],
+    ids=["one-member", "wrong-shape-R", "wrong-length-y"],
+)
+def test_assimilate_input_shape_errors(tmp_path, capsys, name, text, message):
+    files = write_scalar_inputs(tmp_path)
+    (tmp_path / name).write_text(text)
+    argv = ["assimilate"]
+    for flag, value in files.items():
+        argv += [flag, value]
+    argv += ["--out-prefix", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
+    assert not (tmp_path / "out_report.json").exists()
+
+
 def test_assimilate_diagonal_r_column(tmp_path):
     # R given as a p x 1 variance column for a 2-observation instance
     (tmp_path / "E.csv").write_text("1,-1,0\n0,1,-1\n")
@@ -271,6 +292,28 @@ def test_twin_has_no_dynamics_or_noise_flags(tmp_path, flag, value):
     # the dynamics, the noise variances and the observation interval are constants
     assert main(["twin", "--steps", "5", flag, value, "--out", str(tmp_path / "m.json")]) == 2
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["verify", "--trials", "2", "--out"], ""),
+        (["twin", "--steps", "2", "--series"], ""),
+        (["demo-pitfall", "--json"], ""),
+        (["assimilate", "--out-prefix"], "_members.csv"),
+    ],
+    ids=["verify", "twin", "demo-pitfall", "assimilate"],
+)
+def test_unwritable_output_path_is_an_output_error(tmp_path, capsys, argv, written):
+    # exit 1 means a failed verification; a path in a missing directory is
+    # an error of the call, so it exits 2 like any other input error
+    path = tmp_path / "missing" / "out"
+    if argv[0] == "assimilate":
+        inputs = [item for pair in write_scalar_inputs(tmp_path).items() for item in pair]
+        argv = argv[:1] + inputs + argv[1:]
+    assert main(argv + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{path}{written}'\n"
 
 
 def test_module_entry_point():

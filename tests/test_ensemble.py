@@ -123,6 +123,13 @@ def test_perturbation_rejects_uncentered():
         PerturbationMatrix(matrix=np.array([[1.0, 1.0]]), scale_members=2)
 
 
+def test_perturbation_rejects_a_bad_member_count():
+    with pytest.raises(ValueError, match="^ensemble too small: need at least 2 members$"):
+        PerturbationMatrix(matrix=np.zeros((2, 1)), scale_members=1)
+    with pytest.raises(ValueError, match="^column count does not match scale_members$"):
+        PerturbationMatrix(matrix=np.array([[1.0, -1.0]]), scale_members=3)
+
+
 def test_perturbation_below_the_normal_range_names_its_scale():
     # below 2.2e-308 the average and the re-centering round to a fixed step
     # of 4.9e-324, so such a spread cannot be centered to 1e-13 of its norm
@@ -228,6 +235,13 @@ def test_reconstruct_round_trip():
 def test_reconstruct_rejects_uncentered():
     with pytest.raises(ValueError, match="not centered"):
         reconstruct_members(np.zeros(1), np.array([[1.0, 1.0]]))
+
+
+def test_reconstruct_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="^mean length 2 does not match state dimension 1$"):
+        reconstruct_members(np.zeros(2), np.array([[1.0, -1.0]]))
+    with pytest.raises(ValueError, match="^ensemble too small: need at least 2 members$"):
+        reconstruct_members(np.zeros(1), np.zeros((1, 1)))
 
 
 def test_observation_model_diagonal_covariance():

@@ -9,16 +9,9 @@ from eakf.instances import (
     RANK_DEFICIENT,
     ZERO_H,
     ZERO_SPREAD,
-    category_pool,
     random_instance,
 )
 from eakf.linalg import svd_full
-
-
-def test_category_pool_flags():
-    assert category_pool() == [GENERIC, ZERO_SPREAD]
-    full = category_pool(True, True, True)
-    assert set(full) == set(ALL_CATEGORIES)
 
 
 def test_deterministic_per_seed():

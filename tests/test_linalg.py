@@ -194,6 +194,20 @@ def test_svd_factors_reject_bad_singular_values(sigma):
 
 
 @pytest.mark.parametrize(
+    ("sigma", "right", "message"),
+    [
+        (np.ones((1, 1)), np.eye(2), "inconsistent factor shapes"),
+        (np.ones(3), np.eye(2), "inconsistent factor shapes"),
+        (np.ones(1), np.eye(2, 3), "right factor must be square"),
+    ],
+    ids=["2-d-values", "rank-above-m", "non-square-right"],
+)
+def test_svd_factors_reject_bad_shapes(sigma, right, message):
+    with pytest.raises(ValueError, match=f"^SvdFactors: {message}$"):
+        SvdFactors(singular_values=sigma, right=right)
+
+
+@pytest.mark.parametrize(
     ("values", "message"),
     [
         ([2.0, 1.0, -1.0], "nonnegative"),
@@ -208,6 +222,21 @@ def test_svd_factors_reject_bad_singular_values(sigma):
 def test_ordered_eigen_rejects_bad_values(values, message):
     with pytest.raises(ValueError, match=f"values must be {message}"):
         OrderedEigen(vectors=np.eye(3), values=np.array(values), obs_vectors=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    ("vectors", "values", "obs_vectors", "message"),
+    [
+        (np.eye(3, 2), np.zeros(3), np.zeros((2, 2)), "vectors must be square"),
+        (np.eye(3), np.zeros(2), np.zeros((2, 2)), "values length must match vectors"),
+        (np.eye(3), np.zeros(3), np.zeros((2, 4)), "obs_vectors must have at most m columns"),
+        (np.eye(3), np.zeros(3), np.zeros(2), "obs_vectors must have at most m columns"),
+    ],
+    ids=["non-square-vectors", "short-values", "wide-obs-vectors", "1-d-obs-vectors"],
+)
+def test_ordered_eigen_rejects_bad_shapes(vectors, values, obs_vectors, message):
+    with pytest.raises(ValueError, match=f"^OrderedEigen: {message}$"):
+        OrderedEigen(vectors=vectors, values=values, obs_vectors=obs_vectors)
 
 
 def test_pinv_examples():

@@ -196,6 +196,23 @@ def test_routes_raise_on_overflow(route):
         ROUTES[route](pert, obs)
 
 
+def test_woodbury_raises_when_the_observed_perturbations_overflow():
+    # H Z overflows while R stays finite: the right-hand side of the R solve
+    # is what is not finite
+    pert = PerturbationMatrix(matrix=np.array([[1e150, -1e150]]), scale_members=2)
+    obs = ObservationModel(operator=[[1e200]], covariance=[[1.0]], observation=[0.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        posterior_cov_woodbury(pert, obs)
+
+
+@pytest.mark.parametrize("route", ["reduced", "woodbury"])
+def test_ensemble_routes_reject_a_mismatched_state_dimension(route):
+    pert, _ = scalar_pieces()
+    obs = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
+    with pytest.raises(ValueError, match="^observation operator inconsistent with perturbations$"):
+        ROUTES[route](pert, obs)
+
+
 @pytest.mark.parametrize("covariance", [np.zeros((0, 0)), np.zeros(0)], ids=["dense", "vector"])
 def test_routes_without_observations_return_the_forecast(covariance):
     pert = perturbation_matrix(ForecastEnsemble.from_members(np.random.default_rng(0).standard_normal((3, 5))))
