@@ -11,7 +11,9 @@ comparing runs.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,6 +35,13 @@ def _timestamp() -> str:
 
 def _dump_json(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _require_directories(*paths) -> None:
+    """Raise, before any work, the error that writing into a missing directory would."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    _require_directories(args.out)
     cfg = VerifyConfig(
         trials=args.trials,
         seed=args.seed,
@@ -95,6 +105,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    _require_directories(args.json)
     report = run_pitfall_demo(args.seed)
     report["timestamp"] = _timestamp()
     print(format_pitfall_report(report))
@@ -104,6 +115,8 @@ def _cmd_demo(args) -> int:
 
 
 def _cmd_assimilate(args) -> int:
+    prefix = args.out_prefix
+    _require_directories(f"{prefix}_members.csv")
     members = read_matrix(args.ensemble)
     n, m = members.shape
     if m < 2:
@@ -123,10 +136,9 @@ def _cmd_assimilate(args) -> int:
     elif r_raw.shape == (p, 1):
         covariance = r_raw[:, 0]
     else:
-        raise MatrixFileError(
-            f"{args.R}: expected a {p} x {p} covariance or a {p} x 1 variance column, "
-            f"got {r_raw.shape[0]} x {r_raw.shape[1]}"
-        )
+        # at p = 1 the covariance and the variance column are one shape
+        shapes = f"{p} x {p} covariance or a {p} x 1 variance column" if p > 1 else "1 x 1 variance"
+        raise MatrixFileError(f"{args.R}: expected a {shapes}, got {r_raw.shape[0]} x {r_raw.shape[1]}")
     observation = read_vector(args.y)
     if observation.shape != (p,):
         raise MatrixFileError(
@@ -142,7 +154,6 @@ def _cmd_assimilate(args) -> int:
     oracle_cov = posterior_cov_direct(forecast_cov(perturbation_matrix(ensemble)), model)
     comparison = compare_cov(result.covariance, oracle_cov)
 
-    prefix = args.out_prefix
     write_matrix(f"{prefix}_members.csv", result.members())
     write_vector(f"{prefix}_mean.csv", result.mean)
     report = {
@@ -166,6 +177,7 @@ def _cmd_assimilate(args) -> int:
 
 
 def _cmd_twin(args) -> int:
+    _require_directories(args.out, args.series)
     report = run_twin(TwinConfig(steps=args.steps, n=args.n, m=args.m, seed=args.seed))
     if args.series:
         Path(args.series).write_text("\n".join(series_csv_lines(report)) + "\n")

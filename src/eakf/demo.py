@@ -9,8 +9,9 @@ that returns its eigenvalues in ascending order (``numpy.linalg.eigh``,
 LAPACK ``dsyevd``) puts the zero eigenvalues of the null space first
 instead, so the cut drops live columns and the analysis ensemble loses
 variance it should have kept. :func:`misordered_analysis` reproduces that
-failure on purpose: it takes the columns of ``C`` (and the eigenvalues with
-them) in that ascending order and cuts there.
+failure on purpose: from the factors :func:`eakf.update.analyze` builds, it
+takes the columns of ``C`` (and the eigenvalues with them) in ascending order
+and cuts there.
 
 :func:`run_pitfall_demo` runs the hand-checkable scalar instance and one
 random rank-deficient instance both ways and reports the analysis
@@ -26,9 +27,8 @@ import numpy as np
 from ._arrays import center_rows
 from .ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from .instances import RANK_DEFICIENT, random_instance
-from .linalg import ordered_eig_psd, svd_full
 from .oracle import TOLERANCE, compare_cov, posterior_cov_direct
-from .update import AnalysisResult, analyze, project_observations
+from .update import AnalysisResult, _analysis_factors, analyze
 
 SCHEMA_VERSION = 1
 
@@ -47,26 +47,22 @@ def scalar_instance() -> tuple[ForecastEnsemble, ObservationModel]:
 def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """The analysis with the null-space eigenvectors misordered: the pitfall.
 
-    Builds the same factors as :func:`eakf.update.analyze`, reverses the
-    columns of ``C`` into ascending-eigenvalue order, so that the ``m - r``
-    null vectors lead, and keeps the leading ``r = rank(Z)`` of them. For
-    ``r >= 1`` that cuts at least one live column; at ``r = 0`` the result
-    is the correct analysis. The mean is the exact Kalman mean of
-    :func:`eakf.update.analyze`; only the perturbations, and with them the
-    covariance ``Za @ Za.T``, are wrong.
+    Reads the factors and the Kalman mean that :func:`eakf.update.analyze`
+    builds, reverses the columns of ``C`` into ascending-eigenvalue order, so
+    that the ``m - r`` null vectors lead, and keeps the leading
+    ``r = rank(Z)`` of them. For ``r >= 1`` that cuts at least one live
+    column; at ``r = 0`` the result is the correct analysis. The mean is the
+    exact Kalman mean; only the perturbations, and with them the covariance
+    ``Za @ Za.T``, are wrong.
     """
-    pert = perturbation_matrix(ens)
-    factors = svd_full(pert.matrix)
-    eig = ordered_eig_psd(project_observations(pert, obs), factors)
-    r = factors.rank
+    z, svd, eig, mean_a = _analysis_factors(ens, obs)
+    r = svd.rank
     # ascending values cannot go through an OrderedEigen, so the columns
     # are indexed here
     vectors, values = eig.vectors[:, ::-1][:, :r], eig.values[::-1][:r]
-    za = pert.matrix @ ((vectors / np.sqrt(1.0 + values)) @ factors.row_space_basis().T)
+    za = z @ ((vectors / np.sqrt(1.0 + values)) @ svd.row_space_basis().T)
     center_rows(za)
-    # built afresh, not replaced: dataclasses.replace would read, and pass
-    # on, the covariance of the correct analysis
-    return AnalysisResult(mean=analyze(ens, obs).mean, perturbations=za)
+    return AnalysisResult(mean=mean_a, perturbations=za)
 
 
 def run_pitfall_demo(seed: int) -> dict:

@@ -127,9 +127,6 @@ class OrderedEigen:
         if not (values[:-1] >= values[1:]).all():
             raise ValueError("OrderedEigen: values must be descending")
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.T
-
 
 def svd_full(matrix) -> SvdFactors:
     """Rank-revealing SVD with a deterministic sign convention.

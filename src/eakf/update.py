@@ -29,8 +29,8 @@ which is all this module forms. ``left`` drops out, and
 ``right`` off the SVD of the ``(min(n, m), m)`` triangle of a QR of ``Z``.
 ``S = Y.T @ Y`` is not formed either: ``g`` and ``C`` come from an SVD of the
 whitened ``Y = inv(L) H Z`` (``R = L L.T``; the observation model factors
-``R`` once and whitens), and so do the mean update and, on request, the
-Kalman gain. Nor is the ``(n, n)`` covariance ``Za @ Za.T``:
+``R`` once and whitens), and so do the mean and the Kalman gain; one private
+function builds them for every analysis. Nor is ``Za @ Za.T`` formed:
 :class:`AnalysisResult` forms it the first time it is read. So
 :func:`analyze` costs ``O((n + p) m^2 + p n m)`` time, of which ``Z`` takes
 one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and ``O((n + p) m)`` memory.
@@ -142,20 +142,39 @@ def _gain_weights(g: np.ndarray) -> np.ndarray:
     return np.sqrt(g) / (1.0 + g)
 
 
-def kalman_gain(pert: PerturbationMatrix, obs: ObservationModel, eig: OrderedEigen) -> np.ndarray:
+def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
+    """The factors every analysis reads, and the Kalman mean: ``(Z, svd, eig, mean_a)``.
+
+    ``svd`` is :func:`eakf.linalg.svd_full` of ``Z`` and ``eig`` the
+    :func:`eakf.linalg.ordered_eig_psd` result for ``Y = inv(L) H Z =
+    U_W diag(s) C[:, :k].T``. The perturbation update only constrains the
+    covariance; the mean is the standard Kalman mean ``mean + K (y - H mean)``,
+    taken from the same factors without forming ``K``:
+    ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
+    the innovation and an ``m``-vector of weights.
+    """
+    pert = perturbation_matrix(ens)
+    svd = svd_full(pert.matrix)
+    eig = ordered_eig_psd(project_observations(pert, obs), svd)
+    k = eig.obs_vectors.shape[1]
+    innovation = obs.whiten(obs.observation - obs.operator @ ens.mean)
+    weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
+    mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
+    return pert.matrix, svd, eig, mean_a
+
+
+def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
     """Kalman gain ``P_f H.T inv(H P_f H.T + R)`` from the analysis factors.
 
-    ``eig`` is the :func:`eakf.linalg.ordered_eig_psd` result for
-    ``Y = project_observations(pert, obs)``. With
-    ``Y = U_W diag(s) C[:, :k].T`` the gain is
-    ``Z C[:, :k] diag(s / (1 + s**2)) U_W.T inv(L)``: one whitening of
+    ``K = Z C[:, :k] diag(s / (1 + s**2)) U_W.T inv(L)``: one whitening of
     ``(p, k)`` right-hand sides (a triangular solve, or a row scale for a
     diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it.
     """
+    z, _, eig, _ = _analysis_factors(ens, obs)
     k = eig.obs_vectors.shape[1]
     # (U_W D).T inv(L) = (inv(L).T U_W D).T
     whitened = obs.whiten(eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
-    return (pert.matrix @ eig.vectors[:, :k]) @ whitened.T
+    return (z @ eig.vectors[:, :k]) @ whitened.T
 
 
 def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
@@ -175,26 +194,14 @@ def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
 def analyze(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """Run one analysis step: transformed perturbations plus the Kalman mean.
 
-    The perturbation update only constrains the covariance; the analysis
-    mean is the standard Kalman mean ``mean + K (y - H mean)``, taken from
-    the same factors as the transform without forming ``K``:
-    ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
-    the innovation and an ``m``-vector of weights. :func:`kalman_gain`
-    gives ``K``.
-
-    The result's ``covariance`` is not formed here; see :class:`AnalysisResult`.
+    Mean and factors come from :func:`_analysis_factors`, perturbations from
+    ``Z @ adjustment_matrix(svd, eig)``; ``covariance`` is formed on first read.
 
     Raises ValueError when the analysis overflows float64 (the mean or the
     row sums of squares of ``Za``, the covariance diagonal, are not finite).
     """
-    pert = perturbation_matrix(ens)
-    factors = svd_full(pert.matrix)
-    eig = ordered_eig_psd(project_observations(pert, obs), factors)
-    k = eig.obs_vectors.shape[1]
-    innovation = obs.whiten(obs.observation - obs.operator @ ens.mean)
-    weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
-    mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
-    za = pert.matrix @ adjustment_matrix(factors, eig)
+    z, svd, eig, mean_a = _analysis_factors(ens, obs)
+    za = z @ adjustment_matrix(svd, eig)
     # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
     center_rows(za)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eakf.cli
 from eakf.cli import main
 from eakf.matio import read_matrix, read_vector
 
@@ -74,6 +75,15 @@ def test_verify_deterministic_reports(tmp_path):
     main(argv + [str(tmp_path / "a.json")])
     main(argv + [str(tmp_path / "b.json")])
     assert load_sans_timestamp(tmp_path / "a.json") == load_sans_timestamp(tmp_path / "b.json")
+
+
+def test_verify_without_out_prints_the_report(tmp_path, capsys):
+    argv = ["verify", "--trials", "12", "--seed", "3", "--partial-obs"]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)
+    printed.pop("timestamp")
+    assert main(argv + ["--out", str(tmp_path / "r.json")]) == 0
+    assert json.dumps(printed, sort_keys=True) == load_sans_timestamp(tmp_path / "r.json")
 
 
 def test_verify_bad_config(tmp_path, capsys):
@@ -196,7 +206,7 @@ def test_assimilate_shape_mismatch(tmp_path, capsys):
     "name, text, message",
     [
         ("E.csv", "1\n", "expected at least 2 member columns (n x m with m >= 2), got 1"),
-        ("R.csv", "2,0\n0,2\n", "expected a 1 x 1 covariance or a 1 x 1 variance column, got 2 x 2"),
+        ("R.csv", "2,0\n0,2\n", "expected a 1 x 1 variance, got 2 x 2"),
         ("y.csv", "1\n0\n", "expected a 1 x 1 observation column, got 2 rows"),
     ],
     ids=["one-member", "wrong-shape-R", "wrong-length-y"],
@@ -211,6 +221,19 @@ def test_assimilate_input_shape_errors(tmp_path, capsys, name, text, message):
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
     assert not (tmp_path / "out_report.json").exists()
+
+
+def test_assimilate_wrong_shape_r_names_both_shapes(tmp_path, capsys):
+    files = write_scalar_inputs(tmp_path)
+    (tmp_path / "E.csv").write_text("1,-1,0\n0,1,-1\n")
+    (tmp_path / "H.csv").write_text("1,0\n0,1\n")
+    (tmp_path / "R.csv").write_text("1,0,0\n0,1,0\n0,0,1\n")
+    argv = ["assimilate"]
+    for flag, value in files.items():
+        argv += [flag, value]
+    assert main(argv + ["--out-prefix", str(tmp_path / "out")]) == 2
+    message = "expected a 2 x 2 covariance or a 2 x 1 variance column, got 3 x 3"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'R.csv'}: {message}\n"
 
 
 def test_assimilate_diagonal_r_column(tmp_path):
@@ -294,19 +317,21 @@ def test_twin_has_no_dynamics_or_noise_flags(tmp_path, flag, value):
     assert not (tmp_path / "m.json").exists()
 
 
-@pytest.mark.parametrize(
+OUTPUT_PATH_CASES = pytest.mark.parametrize(
     "argv, written",
     [
         (["verify", "--trials", "2", "--out"], ""),
         (["twin", "--steps", "2", "--series"], ""),
+        (["twin", "--steps", "2", "--out"], ""),
         (["demo-pitfall", "--json"], ""),
         (["assimilate", "--out-prefix"], "_members.csv"),
     ],
-    ids=["verify", "twin", "demo-pitfall", "assimilate"],
+    ids=["verify", "twin", "twin-out", "demo-pitfall", "assimilate"],
 )
-def test_unwritable_output_path_is_an_output_error(tmp_path, capsys, argv, written):
-    # exit 1 means a failed verification; a path in a missing directory is
-    # an error of the call, so it exits 2 like any other input error
+
+
+def run_into_missing_directory(tmp_path, capsys, argv, written):
+    """Run ``argv`` with its output path in a missing directory; check exit 2 and the message."""
     path = tmp_path / "missing" / "out"
     if argv[0] == "assimilate":
         inputs = [item for pair in write_scalar_inputs(tmp_path).items() for item in pair]
@@ -314,6 +339,24 @@ def test_unwritable_output_path_is_an_output_error(tmp_path, capsys, argv, writt
     assert main(argv + [str(path)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: [Errno 2] No such file or directory: '{path}{written}'\n"
+
+
+@OUTPUT_PATH_CASES
+def test_unwritable_output_path_is_an_output_error(tmp_path, capsys, argv, written):
+    # exit 1 means a failed verification; a path in a missing directory is
+    # an error of the call, so it exits 2 like any other input error
+    run_into_missing_directory(tmp_path, capsys, argv, written)
+
+
+@OUTPUT_PATH_CASES
+def test_output_directories_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, written):
+    # a missing directory fails at once, not after the whole run
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("run_verify", "run_twin", "run_pitfall_demo", "analyze"):
+        monkeypatch.setattr(eakf.cli, name, not_reached)
+    run_into_missing_directory(tmp_path, capsys, argv, written)
 
 
 def test_module_entry_point():

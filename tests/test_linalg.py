@@ -26,6 +26,11 @@ def assert_factors_of(f, matrix, tol=1e-12):
     assert np.all(sigma[f.rank :] <= tol * sigma[0])
 
 
+def eig_product(eig):
+    """``C diag(g) C.T``, the matrix ``S = Y.T Y`` that ``eig`` decomposes."""
+    return (eig.vectors * eig.values) @ eig.vectors.T
+
+
 def assert_pivots_positive(columns):
     """Each column's largest-magnitude entry (first on ties) is positive."""
     pivots = columns[np.abs(columns).argmax(axis=0), np.arange(columns.shape[1])]
@@ -287,7 +292,7 @@ def test_ordered_eig_two_member_example():
     lead = eig.vectors[:, 0]
     np.testing.assert_allclose(np.abs(lead), np.abs(np.array([1.0, -1.0]) / np.sqrt(2.0)))
     np.testing.assert_allclose(eig.vectors[:, 1], np.array([1.0, 1.0]) / np.sqrt(2.0))
-    np.testing.assert_allclose(eig.reconstruct(), s, atol=1e-14)
+    np.testing.assert_allclose(eig_product(eig), s, atol=1e-14)
     zc = z @ eig.vectors
     np.testing.assert_allclose(np.abs(zc), [[np.sqrt(2.0), 0.0]], atol=1e-14)
 
@@ -313,7 +318,7 @@ def test_ordered_eig_rank_gap_example():
     assert f.rank == 2
     eig = ordered_eig_psd(y, f)
     np.testing.assert_allclose(eig.values, [1.0, 0.0, 0.0], atol=1e-14)
-    np.testing.assert_allclose(eig.reconstruct(), s, atol=1e-14)
+    np.testing.assert_allclose(eig_product(eig), s, atol=1e-14)
     trailing = eig.vectors[:, 2]
     np.testing.assert_allclose(np.abs(trailing), np.full(3, 1.0 / np.sqrt(3.0)), atol=1e-14)
     np.testing.assert_allclose(z @ trailing, np.zeros(2), atol=1e-14)
@@ -338,7 +343,7 @@ def test_ordered_eig_random_property(seed):
     f = svd_full(z)
     eig = ordered_eig_psd(y, f)
     s_scale = max(np.linalg.norm(s), 1e-300)
-    assert np.linalg.norm(eig.reconstruct() - s) <= 1e-10 * s_scale
+    assert np.linalg.norm(eig_product(eig) - s) <= 1e-10 * s_scale
     trailing = eig.vectors[:, f.rank :]
     assert np.linalg.norm(z @ trailing) <= 1e-10 * np.linalg.norm(z)
     assert np.all(np.diff(eig.values) <= 0.0)

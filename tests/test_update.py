@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eakf.demo import misordered_analysis
+from eakf.demo import misordered_analysis, run_pitfall_demo
 from eakf.ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
 from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
@@ -82,10 +82,6 @@ def factors(pert, obs):
     return svd, ordered_eig_psd(project_observations(pert, obs), svd)
 
 
-def gain(pert, obs):
-    return kalman_gain(pert, obs, factors(pert, obs)[1])
-
-
 def ascending_order(pert):
     """The rank of ``Z`` and the order of the columns of ``C`` that ``misordered_analysis`` cuts.
 
@@ -95,22 +91,44 @@ def ascending_order(pert):
     return svd_full(pert.matrix).rank, np.arange(pert.size)[::-1]
 
 
+@pytest.mark.parametrize(
+    "run, svds",
+    [
+        (lambda inst: analyze(inst.ensemble, inst.observation), 1),
+        (lambda inst: kalman_gain(inst.ensemble, inst.observation), 1),
+        (lambda inst: misordered_analysis(inst.ensemble, inst.observation), 1),
+        (lambda inst: run_pitfall_demo(0), 4),
+    ],
+    ids=["analyze", "kalman_gain", "misordered_analysis", "run_pitfall_demo"],
+)
+def test_each_analysis_factors_z_once(monkeypatch, run, svds):
+    # svd_full is the only caller of qr, so each call is one SVD of Z; the
+    # pitfall demo runs two instances both ways, one SVD per analysis
+    calls, qr = [], np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    run(random_instance(0, "rank_deficient"))
+    assert len(calls) == svds
+
+
 def test_kalman_gain_scalar():
     ens, obs = scalar_case()
-    np.testing.assert_allclose(gain(perturbation_matrix(ens), obs), [[0.5]])
+    np.testing.assert_allclose(kalman_gain(ens, obs), [[0.5]])
 
 
 def test_kalman_gain_zero_operator():
     ens, _ = three_member_case()
     obs = ObservationModel(operator=np.zeros((1, 2)), covariance=[[1.0]], observation=[0.0])
-    np.testing.assert_array_equal(gain(perturbation_matrix(ens), obs), np.zeros((2, 1)))
+    np.testing.assert_array_equal(kalman_gain(ens, obs), np.zeros((2, 1)))
 
 
 def test_kalman_gain_three_members():
     ens, obs = three_member_case()
-    np.testing.assert_allclose(
-        gain(perturbation_matrix(ens), obs), [[0.5], [-0.25]], atol=1e-15
-    )
+    np.testing.assert_allclose(kalman_gain(ens, obs), [[0.5], [-0.25]], atol=1e-15)
 
 
 # ---------------------------------------------------------------- adjustment
@@ -224,7 +242,7 @@ def test_analyze_three_members():
     np.testing.assert_allclose(
         res.covariance, [[0.5, -0.25], [-0.25, 0.875]], atol=1e-14
     )
-    np.testing.assert_allclose(gain(perturbation_matrix(ens), obs), [[0.5], [-0.25]], atol=1e-14)
+    np.testing.assert_allclose(kalman_gain(ens, obs), [[0.5], [-0.25]], atol=1e-14)
 
 
 @pytest.mark.parametrize("category", ALL_CATEGORIES)
@@ -289,7 +307,7 @@ def test_analyze_mean_matches_gain_form(category):
     for seed in range(100):
         inst = random_instance(seed, category)
         ens, obs = inst.ensemble, inst.observation
-        increment = gain(perturbation_matrix(ens), obs) @ (obs.observation - obs.operator @ ens.mean)
+        increment = kalman_gain(ens, obs) @ (obs.observation - obs.operator @ ens.mean)
         expected = ens.mean + increment
         err = np.linalg.norm(analyze(ens, obs).mean - expected)
         worst = max(worst, err / max(np.linalg.norm(expected), 1e-300))
