@@ -26,6 +26,7 @@ from .linalg import (
 from .oracle import (
     ComparisonReport,
     compare_cov,
+    compare_factored,
     posterior_cov_direct,
     posterior_cov_reduced,
     posterior_cov_woodbury,
@@ -56,6 +57,7 @@ __all__ = [
     "adjustment_matrix",
     "analyze",
     "compare_cov",
+    "compare_factored",
     "forecast_cov",
     "kalman_gain",
     "ordered_eig_psd",

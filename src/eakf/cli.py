@@ -3,9 +3,11 @@
 Exit codes: 0 pass, 1 verification/demonstration failure, 2 usage, input or
 output error. ``verify``, ``demo-pitfall`` and ``assimilate`` judge every
 analysis covariance at the fixed 1e-10 contract of
-:data:`eakf.oracle.TOLERANCE`. All commands are deterministic given their
-seed; reports carry a ``timestamp`` field that callers should ignore when
-comparing runs.
+:data:`eakf.oracle.TOLERANCE`: ``verify`` against the dense direct
+posterior, ``demo-pitfall`` and ``assimilate`` through
+:func:`eakf.oracle.compare_factored`, which forms no ``(n, n)`` matrix. All
+commands are deterministic given their seed; reports carry a ``timestamp``
+field that callers should ignore when comparing runs.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .demo import format_pitfall_report, misordered_analysis, run_pitfall_demo
-from .ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
+from .ensemble import ForecastEnsemble, ObservationModel, perturbation_matrix
 from .matio import MatrixFileError, read_matrix, read_vector, write_matrix, write_vector
-from .oracle import compare_cov, posterior_cov_direct
+from .oracle import compare_factored
 from .twin import TwinConfig, run_twin, series_csv_lines
 from .update import analyze
 from .verify import VerifyConfig, run_verify
@@ -151,13 +153,12 @@ def _cmd_assimilate(args) -> int:
         result = misordered_analysis(ensemble, model)
     else:
         result = analyze(ensemble, model)
-    oracle_cov = posterior_cov_direct(forecast_cov(perturbation_matrix(ensemble)), model)
-    comparison = compare_cov(result.covariance, oracle_cov)
+    comparison = compare_factored(result.perturbations, perturbation_matrix(ensemble), model)
 
     write_matrix(f"{prefix}_members.csv", result.members())
     write_vector(f"{prefix}_mean.csv", result.mean)
     report = {
-        "schema": 1,
+        "schema": 2,
         "command": "assimilate",
         "mode": args.mode,
         "n": n,

@@ -14,8 +14,10 @@ takes the columns of ``C`` (and the eigenvalues with them) in ascending order
 and cuts there.
 
 :func:`run_pitfall_demo` runs the hand-checkable scalar instance and one
-random rank-deficient instance both ways and reports the analysis
-covariance trace of each against the exact Kalman posterior trace. The
+random rank-deficient instance both ways, from one factorization per
+instance, and reports the analysis covariance trace of each against the
+exact Kalman posterior trace, all read off
+:func:`eakf.oracle.compare_factored` without an ``(n, n)`` matrix. The
 misordered run must lose trace (under-dispersion) while the correct run
 must match the oracle; anything else is a failure of the demonstration.
 """
@@ -24,11 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import center_rows
-from .ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
+from .ensemble import ForecastEnsemble, ObservationModel, perturbation_matrix
 from .instances import RANK_DEFICIENT, random_instance
-from .oracle import TOLERANCE, compare_cov, posterior_cov_direct
-from .update import AnalysisResult, _analysis_factors, analyze
+from .linalg import OrderedEigen, SvdFactors
+from .oracle import TOLERANCE, compare_factored
+from .update import AnalysisResult, _analysis_factors, _transformed, adjustment_matrix
 
 SCHEMA_VERSION = 1
 
@@ -44,6 +46,15 @@ def scalar_instance() -> tuple[ForecastEnsemble, ObservationModel]:
     return ensemble, model
 
 
+def _misordered_transform(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
+    """:func:`eakf.update.adjustment_matrix` with ``C`` in ascending-eigenvalue order."""
+    r = svd.rank
+    # ascending values cannot go through an OrderedEigen, so the columns
+    # are indexed here
+    vectors, values = eig.vectors[:, ::-1][:, :r], eig.values[::-1][:r]
+    return (vectors / np.sqrt(1.0 + values)) @ svd.row_space_basis().T
+
+
 def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """The analysis with the null-space eigenvectors misordered: the pitfall.
 
@@ -55,14 +66,7 @@ def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel) -> Analysi
     exact Kalman mean; only the perturbations, and with them the covariance
     ``Za @ Za.T``, are wrong.
     """
-    z, svd, eig, mean_a = _analysis_factors(ens, obs)
-    r = svd.rank
-    # ascending values cannot go through an OrderedEigen, so the columns
-    # are indexed here
-    vectors, values = eig.vectors[:, ::-1][:, :r], eig.values[::-1][:r]
-    za = z @ ((vectors / np.sqrt(1.0 + values)) @ svd.row_space_basis().T)
-    center_rows(za)
-    return AnalysisResult(mean=mean_a, perturbations=za)
+    return _transformed(_analysis_factors(ens, obs), _misordered_transform)
 
 
 def run_pitfall_demo(seed: int) -> dict:
@@ -80,21 +84,23 @@ def run_pitfall_demo(seed: int) -> dict:
 
     rows = []
     for name, ensemble, model in instances:
+        # one factorization serves both cuts
+        factors = _analysis_factors(ensemble, model)
         pert = perturbation_matrix(ensemble)
-        oracle_cov = posterior_cov_direct(forecast_cov(pert), model)
-        correct = analyze(ensemble, model)
-        misordered = misordered_analysis(ensemble, model)
-        correct_cmp = compare_cov(correct.covariance, oracle_cov)
-        deficit = float(np.trace(oracle_cov) - np.trace(misordered.covariance))
+        correct, misordered = (
+            compare_factored(_transformed(factors, transform).perturbations, pert, model)
+            for transform in (adjustment_matrix, _misordered_transform)
+        )
+        deficit = correct.trace_rhs - misordered.trace_lhs
         rows.append(
             {
                 "name": name,
-                "oracle_trace": float(np.trace(oracle_cov)),
-                "correct_trace": float(np.trace(correct.covariance)),
-                "misordered_trace": float(np.trace(misordered.covariance)),
+                "oracle_trace": correct.trace_rhs,
+                "correct_trace": correct.trace_lhs,
+                "misordered_trace": misordered.trace_lhs,
                 "deficit": deficit,
-                "correct_passed": correct_cmp.passed,
-                "passed": correct_cmp.passed and deficit > 0.0,
+                "correct_passed": correct.passed,
+                "passed": correct.passed and deficit > 0.0,
             }
         )
     return {

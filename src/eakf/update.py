@@ -191,6 +191,20 @@ def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
     return (eig.vectors[:, :r] / np.sqrt(1.0 + eig.values[:r])) @ svd.row_space_basis().T
 
 
+def _transformed(factors, transform) -> AnalysisResult:
+    """The Kalman mean of ``factors`` and the perturbations ``Z @ transform(svd, eig)``.
+
+    ``factors`` is what :func:`_analysis_factors` returns; ``transform`` is
+    :func:`adjustment_matrix`, or the pitfall's cut in :mod:`eakf.demo`.
+    """
+    z, svd, eig, mean_a = factors
+    za = z @ transform(svd, eig)
+    # Z @ T annihilates the ones vector in exact arithmetic; remove the
+    # matmul rounding residue so the centering invariant holds exactly.
+    center_rows(za)
+    return AnalysisResult(mean=mean_a, perturbations=za)
+
+
 def analyze(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """Run one analysis step: transformed perturbations plus the Kalman mean.
 
@@ -200,9 +214,4 @@ def analyze(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     Raises ValueError when the analysis overflows float64 (the mean or the
     row sums of squares of ``Za``, the covariance diagonal, are not finite).
     """
-    z, svd, eig, mean_a = _analysis_factors(ens, obs)
-    za = z @ adjustment_matrix(svd, eig)
-    # Z @ T annihilates the ones vector in exact arithmetic; remove the
-    # matmul rounding residue so the centering invariant holds exactly.
-    center_rows(za)
-    return AnalysisResult(mean=mean_a, perturbations=za)
+    return _transformed(_analysis_factors(ens, obs), adjustment_matrix)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import eakf.cli
 from eakf.cli import main
-from eakf.matio import read_matrix, read_vector
+from eakf.matio import read_matrix, read_vector, write_matrix
 
 
 def load_sans_timestamp(path):
@@ -149,8 +150,10 @@ def test_assimilate_scalar_correct(tmp_path):
     spread = (members - 0.5) @ (members - 0.5).T
     np.testing.assert_allclose(spread, [[1.0]], rtol=1e-12)
     report = json.loads((tmp_path / "out_report.json").read_text())
+    assert report["schema"] == 2
     assert report["passed"] is True
     assert report["comparison"]["frobenius_rel"] <= 1e-10
+    assert "max_abs_entry_diff" not in report["comparison"]
 
 
 def test_assimilate_scalar_misordered(tmp_path):
@@ -255,6 +258,33 @@ def test_assimilate_diagonal_r_column(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "diag_report.json").read_text())
     assert report["p"] == 2 and report["passed"] is True
+
+
+def test_assimilate_forms_no_state_by_state_array(tmp_path):
+    # n = 5000: one n x n float64 array is 200 MB; the whole command, CSV
+    # reading and writing included, must stay under a quarter of that
+    n, m, p = 5000, 40, 100
+    rng = np.random.default_rng(0)
+    inputs = {
+        "--ensemble": rng.standard_normal((n, m)),
+        "--H": rng.standard_normal((p, n)) / np.sqrt(n),
+        "--R": rng.uniform(0.5, 2.0, (p, 1)),
+        "--y": rng.standard_normal((p, 1)),
+    }
+    argv = ["assimilate"]
+    for flag, matrix in inputs.items():
+        path = tmp_path / f"{flag.strip('-')}.csv"
+        write_matrix(path, matrix)
+        argv += [flag, str(path)]
+    argv += ["--out-prefix", str(tmp_path / "big")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < n * n * 8 / 4
 
 
 def test_assimilate_identical_members(tmp_path):

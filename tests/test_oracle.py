@@ -10,14 +10,17 @@ from eakf.ensemble import (
     forecast_cov,
     perturbation_matrix,
 )
-from eakf.instances import random_instance
+from eakf.demo import misordered_analysis
+from eakf.instances import ALL_CATEGORIES, ZERO_SPREAD, random_instance
 from eakf.oracle import (
     _spd_solve,
     compare_cov,
+    compare_factored,
     posterior_cov_direct,
     posterior_cov_reduced,
     posterior_cov_woodbury,
 )
+from eakf.update import analyze
 
 
 def scalar_pieces():
@@ -99,7 +102,7 @@ def test_compare_under_dispersed():
     rep = compare_cov(np.array([[0.0]]), np.array([[1.0]]), 1e-10)
     assert not rep.passed
     assert rep.trace_deficit == 1.0
-    assert rep.max_abs_entry_diff == 1.0
+    assert rep.frobenius_abs == 1.0
 
 
 def test_compare_zero_vs_zero_passes():
@@ -124,7 +127,6 @@ def test_report_round_trips_to_dict():
         "trace_lhs",
         "trace_rhs",
         "trace_deficit",
-        "max_abs_entry_diff",
         "tolerance",
         "passed",
     }
@@ -229,3 +231,111 @@ def test_spd_solve_is_the_scipy_cholesky_solve(p):
     for rhs in (rng.standard_normal(p), rng.standard_normal((p, 7))):
         expected = sla.cho_solve(sla.cho_factor(matrix, lower=True), rhs)
         assert np.array_equal(_spd_solve(matrix, rhs, "matrix"), expected)
+
+
+# ---------------------------------------------------- the factored judge
+
+
+def test_factored_judge_scalar():
+    # Z = [1, -1]: the posterior variance is 1, the misordered cut keeps none
+    pert, obs = scalar_pieces()
+    ens = ForecastEnsemble(np.array([[1.0, -1.0]]))
+    correct = compare_factored(analyze(ens, obs).perturbations, pert, obs)
+    assert correct.passed
+    assert correct.trace_lhs == pytest.approx(1.0, abs=1e-15)
+    assert correct.trace_rhs == pytest.approx(1.0, abs=1e-15)
+    pitfall = compare_factored(misordered_analysis(ens, obs).perturbations, pert, obs)
+    assert not pitfall.passed
+    assert pitfall.trace_lhs == pytest.approx(0.0, abs=1e-15)
+    assert pitfall.trace_deficit == pytest.approx(1.0, abs=1e-15)
+    assert pitfall.frobenius_rel == pytest.approx(1.0, abs=1e-15)
+    assert pitfall.frobenius_abs == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("category", ALL_CATEGORIES)
+def test_factored_judge_agrees_with_the_dense_one(category):
+    for seed in range(150):
+        inst = random_instance(seed, category)
+        pert = perturbation_matrix(inst.ensemble)
+        direct = posterior_cov_direct(forecast_cov(pert), inst.observation)
+        for analysis in (analyze, misordered_analysis):
+            result = analysis(inst.ensemble, inst.observation)
+            dense = compare_cov(result.covariance, direct)
+            factored = compare_factored(result.perturbations, pert, inst.observation)
+            where = (seed, analysis.__name__)
+            assert factored.passed == dense.passed, where
+            assert abs(factored.frobenius_rel - dense.frobenius_rel) <= 1e-13, where
+            assert abs(factored.trace_deficit - dense.trace_deficit) <= 1e-13 * dense.trace_rhs, where
+        # an analysis inflated by 1e-6 fails, unless Za = Z = 0
+        za = analyze(inst.ensemble, inst.observation).perturbations * (1.0 + 1e-6)
+        assert compare_factored(za, pert, inst.observation).passed == (category == ZERO_SPREAD), seed
+
+
+def test_factored_judge_checks_underflowed_covariances():
+    # at spread 1e-310 Za Za.T and the dense posterior underflow to zero, so
+    # the dense comparison passes an analysis inflated by 0.1 %; the factored
+    # judge scales Z and Za up by a power of two and sees it
+    obs = ObservationModel(operator=np.eye(3), covariance=np.ones(3), observation=np.zeros(3))
+    judged = []
+    for seed in range(300):
+        try:
+            ens = ForecastEnsemble(np.random.default_rng(seed).standard_normal((3, 5)) * 1e-310)
+            pert = perturbation_matrix(ens)
+        except ValueError as exc:
+            assert "below the smallest normal float64" in str(exc)
+            continue
+        za = analyze(ens, obs).perturbations
+        inflated = za * 1.001
+        dense = compare_cov(inflated @ inflated.T, posterior_cov_direct(forecast_cov(pert), obs))
+        judged.append(
+            (compare_factored(za, pert, obs), compare_factored(inflated, pert, obs), dense.passed)
+        )
+    assert len(judged) == 296
+    assert all(exact.passed and exact.frobenius_rel <= 1e-12 for exact, _, _ in judged)
+    assert not any(wrong.passed for _, wrong, _ in judged)
+    assert all(dense_passed for _, _, dense_passed in judged)
+
+
+def test_factored_judge_scales_by_the_larger_block():
+    # Z at spread 1e-310 and Za at unit scale: scaled by max|Z| alone, Za
+    # would overflow; scaled by max|[Za | Z]| it is judged, and fails
+    obs = ObservationModel(operator=np.eye(3), covariance=np.ones(3), observation=np.zeros(3))
+    pert = perturbation_matrix(ForecastEnsemble(np.random.default_rng(0).standard_normal((3, 5)) * 1e-310))
+    report = compare_factored(np.tile([1.0, -1.0, 0.0, 0.0, 0.0], (3, 1)), pert, obs)
+    assert not report.passed
+    assert report.trace_lhs == pytest.approx(6.0, rel=1e-15)
+    assert report.frobenius_abs == pytest.approx(6.0, rel=1e-15)
+
+
+def test_factored_judge_does_not_use_the_analysis_qr(monkeypatch):
+    # the update's SVD of Z starts from numpy's QR; the judge must not
+    inst = random_instance(4, "rank_deficient")
+    pert = perturbation_matrix(inst.ensemble)
+    za = analyze(inst.ensemble, inst.observation).perturbations
+    expected = compare_factored(za, pert, inst.observation)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the factored judge called numpy.linalg.qr")
+
+    monkeypatch.setattr(np.linalg, "qr", forbidden)
+    assert compare_factored(za, pert, inst.observation) == expected
+    assert expected.passed
+
+
+def test_factored_judge_guards():
+    pert, obs = scalar_pieces()
+    with pytest.raises(ValueError, match=r"^shape mismatch: \(1, 3\) vs \(1, 2\)$"):
+        compare_factored(np.zeros((1, 3)), pert, obs)
+    with pytest.raises(ValueError, match="^analysis perturbations: entries must be finite"):
+        compare_factored(np.array([[np.nan, 0.0]]), pert, obs)
+    wide = ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(2))
+    with pytest.raises(ValueError, match="^observation operator inconsistent with perturbations$"):
+        compare_factored(pert.matrix, pert, wide)
+    swamped, swamped_obs = swamped_pieces()
+    with pytest.raises(np.linalg.LinAlgError, match="^ensemble-space Woodbury matrix not positive definite$"):
+        compare_factored(swamped.matrix, swamped, swamped_obs)
+    # H Z overflows while R stays finite
+    huge = PerturbationMatrix(matrix=np.array([[1e150, -1e150]]), scale_members=2)
+    overflowing = ObservationModel(operator=[[1e200]], covariance=[[1.0]], observation=[0.0])
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+        compare_factored(huge.matrix, huge, overflowing)

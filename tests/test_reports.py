@@ -99,19 +99,18 @@ def test_verify_summary_is_derived_from_trials(monkeypatch):
 
 
 def test_pitfall_demo_fails_when_one_instance_fails(monkeypatch):
-    # on the first (scalar) instance the "misordered" analysis is the correct
-    # one with twice the spread, so it gains trace and only that row fails
-    misordered = eakf.demo.misordered_analysis
+    # on the first (scalar) instance the "misordered" cut is the correct one
+    # with twice the spread, so it gains trace and only that row fails
+    misordered = eakf.demo._misordered_transform
     calls = []
 
-    def first_inflated(ens, obs):
+    def first_inflated(svd, eig):
         calls.append(None)
         if len(calls) == 1:
-            result = eakf.demo.analyze(ens, obs)
-            return AnalysisResult(mean=result.mean, perturbations=2.0 * result.perturbations)
-        return misordered(ens, obs)
+            return 2.0 * eakf.demo.adjustment_matrix(svd, eig)
+        return misordered(svd, eig)
 
-    monkeypatch.setattr(eakf.demo, "misordered_analysis", first_inflated)
+    monkeypatch.setattr(eakf.demo, "_misordered_transform", first_inflated)
     report = run_pitfall_demo(0)
     assert [row["passed"] for row in report["instances"]] == [False, True]
     assert report["instances"][0]["deficit"] < 0.0

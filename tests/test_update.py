@@ -97,13 +97,13 @@ def ascending_order(pert):
         (lambda inst: analyze(inst.ensemble, inst.observation), 1),
         (lambda inst: kalman_gain(inst.ensemble, inst.observation), 1),
         (lambda inst: misordered_analysis(inst.ensemble, inst.observation), 1),
-        (lambda inst: run_pitfall_demo(0), 4),
+        (lambda inst: run_pitfall_demo(0), 2),
     ],
     ids=["analyze", "kalman_gain", "misordered_analysis", "run_pitfall_demo"],
 )
 def test_each_analysis_factors_z_once(monkeypatch, run, svds):
     # svd_full is the only caller of qr, so each call is one SVD of Z; the
-    # pitfall demo runs two instances both ways, one SVD per analysis
+    # pitfall demo runs two instances both ways, one SVD per instance
     calls, qr = [], np.linalg.qr
 
     def counted(*args, **kwargs):
