@@ -60,10 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--partial-obs", action="store_true", help="include rank(S) < rank(Z) instances")
     ver.add_argument("--zero-h", action="store_true", help="include H = 0 instances")
     ver.add_argument("--out", type=str, default=None, help="write the JSON report here")
+    ver.set_defaults(handler=_cmd_verify)
 
     demo = sub.add_parser("demo-pitfall", help="reproduce the misordering under-dispersion pitfall")
     demo.add_argument("--seed", type=int, default=0)
     demo.add_argument("--json", type=str, default=None, help="write the JSON report here")
+    demo.set_defaults(handler=_cmd_demo)
 
     asm = sub.add_parser("assimilate", help="single analysis step from CSV matrix files")
     asm.add_argument("--ensemble", required=True, help="n x m member matrix (one member per column)")
@@ -72,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     asm.add_argument("--y", required=True, help="p x 1 observation column")
     asm.add_argument("--mode", choices=["correct", "misordered"], default="correct")
     asm.add_argument("--out-prefix", required=True)
+    asm.set_defaults(handler=_cmd_assimilate)
 
     twin = sub.add_parser("twin", help="cycled linear-Gaussian twin experiment")
     twin.add_argument("--steps", type=int, default=500)
@@ -80,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     twin.add_argument("--seed", type=int, default=0)
     twin.add_argument("--out", type=str, default=None, help="write the JSON metrics here")
     twin.add_argument("--series", type=str, default=None, help="write the step series CSV here")
+    twin.set_defaults(handler=_cmd_twin)
 
     return parser
 
@@ -193,14 +197,6 @@ def _cmd_twin(args) -> int:
     return 0 if report["all_finite"] else 1
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "demo-pitfall": _cmd_demo,
-    "assimilate": _cmd_assimilate,
-    "twin": _cmd_twin,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -208,7 +204,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     # MatrixFileError is a ValueError; OSError covers unwritable output paths
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

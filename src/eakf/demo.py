@@ -66,7 +66,7 @@ def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel) -> Analysi
     exact Kalman mean; only the perturbations, and with them the covariance
     ``Za @ Za.T``, are wrong.
     """
-    return _transformed(_analysis_factors(ens, obs), _misordered_transform)
+    return _transformed(ens, obs, _analysis_factors(ens, obs), _misordered_transform)
 
 
 def run_pitfall_demo(seed: int) -> dict:
@@ -88,7 +88,7 @@ def run_pitfall_demo(seed: int) -> dict:
         factors = _analysis_factors(ensemble, model)
         pert = perturbation_matrix(ensemble)
         correct, misordered = (
-            compare_factored(_transformed(factors, transform).perturbations, pert, model)
+            compare_factored(_transformed(ensemble, model, factors, transform).perturbations, pert, model)
             for transform in (adjustment_matrix, _misordered_transform)
         )
         deficit = correct.trace_rhs - misordered.trace_lhs

@@ -73,16 +73,13 @@ def random_instance(seed: int, category: str = GENERIC) -> RandomInstance:
     n = int(rng.integers(1, _MAX_N + 1))
     m = int(rng.integers(_MIN_M, _MAX_M + 1))
 
-    if category == RANK_DEFICIENT:
-        n = int(rng.integers(m, _MAX_N + 1))
-    elif category == PARTIAL_OBS:
-        n = max(n, 2)
-        m = max(m, 3)
-
     if category == PARTIAL_OBS:
-        expected_rank = min(n, m - 1)
-        p = int(rng.integers(1, expected_rank))
+        n, m = max(n, 2), max(m, 3)
+        # p below the expected perturbation rank min(n, m - 1)
+        p = int(rng.integers(1, min(n, m - 1)))
     else:
+        if category == RANK_DEFICIENT:
+            n = int(rng.integers(m, _MAX_N + 1))
         p = int(rng.integers(1, n + 1))
 
     if category == ZERO_SPREAD:

@@ -30,8 +30,9 @@ which is all this module forms. ``left`` drops out, and
 ``S = Y.T @ Y`` is not formed either: ``g`` and ``C`` come from an SVD of the
 whitened ``Y = inv(L) H Z`` (``R = L L.T``; the observation model factors
 ``R`` once and whitens), and so do the mean and the Kalman gain; one private
-function builds them for every analysis. Nor is ``Za @ Za.T`` formed:
-:class:`AnalysisResult` forms it the first time it is read. So
+function builds the factors for every analysis. Nor is ``Za @ Za.T`` formed:
+``AnalysisResult.covariance`` is a cached property, not a dataclass field,
+formed the first time it is read. So
 :func:`analyze` costs ``O((n + p) m^2 + p n m)`` time, of which ``Z`` takes
 one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and ``O((n + p) m)`` memory.
 
@@ -52,7 +53,8 @@ Two implementation details decide whether this is exact or silently wrong:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,41 +63,17 @@ from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, pe
 from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, svd_full
 
 
-class _CovarianceOnRead:
-    """``AnalysisResult.covariance``: ``Za @ Za.T``, formed on first read and cached.
-
-    A dataclass field whose default is this data descriptor: ``__init__`` and
-    ``dataclasses.replace`` hand their value to ``__set__``, which keeps a
-    given array as given and leaves the default (the descriptor itself) unset.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        cov = obj.__dict__.get(self.name)
-        if cov is None:
-            za = obj.perturbations
-            # numpy evaluates a @ a.T as a symmetric rank-k update, so the
-            # product is exactly symmetric without a symmetrizing copy.
-            cov = obj.__dict__[self.name] = za @ za.T
-        return cov
-
-    def __set__(self, obj, value):
-        if value is not self:
-            obj.__dict__[self.name] = value
-
-
 @dataclass(frozen=True)
 class AnalysisResult:
     """Analysis mean and scaled perturbations; the covariance on request.
 
-    ``covariance`` is the ``(n, n)`` posterior ``Za @ Za.T``. It is formed the
-    first time it is read, then kept; a value passed to the constructor is
-    kept as given. ``dataclasses.replace`` reads every field it is not given,
-    so replacing another field forms the covariance.
+    ``covariance`` is the ``(n, n)`` posterior ``Za @ Za.T``. It is not a
+    field: it is formed the first time it is read, then kept, and ``repr``,
+    ``==``, ``dataclasses.asdict`` and ``dataclasses.fields`` never form it. A
+    value passed to the constructor is kept as given. ``dataclasses.replace``
+    reads the covariance when it is not given, so replacing another field
+    forms it and carries it over unchanged: ``replace(result,
+    perturbations=2 * za).covariance`` is still the old ``za @ za.T``.
 
     The mean and the covariance diagonal must be finite: an analysis that
     overflows float64 raises instead of passing on ``inf`` or ``nan``. The
@@ -105,16 +83,28 @@ class AnalysisResult:
 
     mean: np.ndarray
     perturbations: np.ndarray
-    covariance: np.ndarray = _CovarianceOnRead()
+    # the default is the cached_property below, which stands for "not given"
+    covariance: InitVar[np.ndarray]
 
-    def __post_init__(self):
+    def __post_init__(self, covariance):
         za = self.perturbations
-        given = vars(self).get("covariance")
-        # einsum raises no overflow warning; an overflowed square reads inf
-        diagonal = np.einsum("ij,ij->i", za, za) if given is None else np.diagonal(given)
+        if covariance is type(self).covariance:
+            # einsum raises no overflow warning; an overflowed square reads inf
+            diagonal = np.einsum("ij,ij->i", za, za)
+        else:
+            vars(self)["covariance"] = covariance
+            diagonal = np.diagonal(covariance)
         if not (_all_finite(self.mean) and _all_finite(diagonal)):
             raise ValueError("analysis mean or covariance not finite in float64")
         require_centered(za, 1e-12, "analysis perturbation rows must sum to zero")
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """``Za @ Za.T``, formed on first read and kept."""
+        za = self.perturbations
+        # numpy evaluates a @ a.T as a symmetric rank-k update, so the
+        # product is exactly symmetric without a symmetrizing copy.
+        return za @ za.T
 
     def members(self) -> np.ndarray:
         """Analysis ensemble members, ``mean + sqrt(m-1) * perturbations``."""
@@ -143,24 +133,15 @@ def _gain_weights(g: np.ndarray) -> np.ndarray:
 
 
 def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
-    """The factors every analysis reads, and the Kalman mean: ``(Z, svd, eig, mean_a)``.
+    """The factors every analysis reads: ``(Z, svd, eig)``.
 
     ``svd`` is :func:`eakf.linalg.svd_full` of ``Z`` and ``eig`` the
     :func:`eakf.linalg.ordered_eig_psd` result for ``Y = inv(L) H Z =
-    U_W diag(s) C[:, :k].T``. The perturbation update only constrains the
-    covariance; the mean is the standard Kalman mean ``mean + K (y - H mean)``,
-    taken from the same factors without forming ``K``:
-    ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
-    the innovation and an ``m``-vector of weights.
+    U_W diag(s) C[:, :k].T``.
     """
     pert = perturbation_matrix(ens)
     svd = svd_full(pert.matrix)
-    eig = ordered_eig_psd(project_observations(pert, obs), svd)
-    k = eig.obs_vectors.shape[1]
-    innovation = obs.whiten(obs.observation - obs.operator @ ens.mean)
-    weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
-    mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
-    return pert.matrix, svd, eig, mean_a
+    return pert.matrix, svd, ordered_eig_psd(project_observations(pert, obs), svd)
 
 
 def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
@@ -170,7 +151,7 @@ def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
     ``(p, k)`` right-hand sides (a triangular solve, or a row scale for a
     diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it.
     """
-    z, _, eig, _ = _analysis_factors(ens, obs)
+    z, _, eig = _analysis_factors(ens, obs)
     k = eig.obs_vectors.shape[1]
     # (U_W D).T inv(L) = (inv(L).T U_W D).T
     whitened = obs.whiten(eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
@@ -191,13 +172,22 @@ def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
     return (eig.vectors[:, :r] / np.sqrt(1.0 + eig.values[:r])) @ svd.row_space_basis().T
 
 
-def _transformed(factors, transform) -> AnalysisResult:
-    """The Kalman mean of ``factors`` and the perturbations ``Z @ transform(svd, eig)``.
+def _transformed(ens: ForecastEnsemble, obs: ObservationModel, factors, transform) -> AnalysisResult:
+    """The Kalman mean and the perturbations ``Z @ transform(svd, eig)``.
 
-    ``factors`` is what :func:`_analysis_factors` returns; ``transform`` is
-    :func:`adjustment_matrix`, or the pitfall's cut in :mod:`eakf.demo`.
+    ``factors`` is what :func:`_analysis_factors` returns for ``ens`` and
+    ``obs``; ``transform`` is :func:`adjustment_matrix`, or the pitfall's cut
+    in :mod:`eakf.demo`. The perturbation update only constrains the
+    covariance; the mean is the standard Kalman mean ``mean + K (y - H
+    mean)``, taken from the same factors without forming ``K``:
+    ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
+    the innovation and an ``m``-vector of weights.
     """
-    z, svd, eig, mean_a = factors
+    z, svd, eig = factors
+    k = eig.obs_vectors.shape[1]
+    innovation = obs.whiten(obs.observation - obs.operator @ ens.mean)
+    weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
+    mean_a = ens.mean + z @ (eig.vectors[:, :k] @ weights)
     za = z @ transform(svd, eig)
     # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
@@ -208,10 +198,11 @@ def _transformed(factors, transform) -> AnalysisResult:
 def analyze(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """Run one analysis step: transformed perturbations plus the Kalman mean.
 
-    Mean and factors come from :func:`_analysis_factors`, perturbations from
-    ``Z @ adjustment_matrix(svd, eig)``; ``covariance`` is formed on first read.
+    The factors come from :func:`_analysis_factors`, the mean and the
+    perturbations ``Z @ adjustment_matrix(svd, eig)`` from
+    :func:`_transformed`; ``covariance`` is formed on first read.
 
     Raises ValueError when the analysis overflows float64 (the mean or the
     row sums of squares of ``Za``, the covariance diagonal, are not finite).
     """
-    return _transformed(_analysis_factors(ens, obs), adjustment_matrix)
+    return _transformed(ens, obs, _analysis_factors(ens, obs), adjustment_matrix)

@@ -115,6 +115,28 @@ def test_each_analysis_factors_z_once(monkeypatch, run, svds):
     assert len(calls) == svds
 
 
+@pytest.mark.parametrize(
+    "run, whitenings",
+    [
+        (lambda inst: analyze(inst.ensemble, inst.observation), 2),
+        (lambda inst: kalman_gain(inst.ensemble, inst.observation), 2),
+    ],
+    ids=["analyze", "kalman_gain"],
+)
+def test_whitenings_per_analysis(monkeypatch, run, whitenings):
+    # both whiten H Z once; analyze whitens the innovation for the mean and
+    # kalman_gain its (p, k) right-hand sides, and neither does both
+    calls, whiten = [], ObservationModel.whiten
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return whiten(self, *args, **kwargs)
+
+    monkeypatch.setattr(ObservationModel, "whiten", counted)
+    run(random_instance(0, "generic"))
+    assert len(calls) == whitenings
+
+
 def test_kalman_gain_scalar():
     ens, obs = scalar_case()
     np.testing.assert_allclose(kalman_gain(ens, obs), [[0.5]])
@@ -298,6 +320,54 @@ def test_analyze_covariance_formed_on_read():
     assert dataclasses.replace(res, covariance=given).covariance is given
     with pytest.raises(ValueError, match="not finite"):
         dataclasses.replace(res, covariance=np.full_like(cov, np.inf))
+
+
+def test_analysis_fields_are_mean_and_perturbations():
+    assert [f.name for f in dataclasses.fields(AnalysisResult)] == ["mean", "perturbations"]
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [repr, dataclasses.asdict, dataclasses.astuple, lambda res: res == res],
+    ids=["repr", "asdict", "astuple", "eq"],
+)
+def test_walking_the_fields_forms_no_covariance(walk):
+    inst = random_instance(5, "generic")
+    res = analyze(inst.ensemble, inst.observation)
+    walk(res)
+    assert "covariance" not in vars(res)
+
+
+def test_analysis_repr_forms_no_covariance():
+    n, m, p = 5000, 20, 50
+    rng = np.random.default_rng(0)
+    ens = ForecastEnsemble.from_members(rng.standard_normal((n, m)))
+    obs = ObservationModel(
+        operator=rng.standard_normal((p, n)) / np.sqrt(n),
+        covariance=rng.uniform(0.5, 2.0, p),
+        observation=rng.standard_normal(p),
+    )
+    res = analyze(ens, obs)
+    tracemalloc.start()
+    try:
+        repr(res)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one (n, n) float64 covariance would take 200 MB
+    assert peak < n * n * 8 / 4, peak
+
+
+@pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="replace reads the old covariance and passes it on as given",
+)
+def test_replace_forms_the_covariance_of_the_new_perturbations():
+    inst = random_instance(5, "generic")
+    res = analyze(inst.ensemble, inst.observation)
+    za = 2 * res.perturbations
+    np.testing.assert_allclose(dataclasses.replace(res, perturbations=za).covariance, za @ za.T)
 
 
 @pytest.mark.parametrize("category", ALL_CATEGORIES)
