@@ -74,14 +74,15 @@ class PerturbationMatrix:
     """Scaled member deviations, (n, m); every row sums to zero.
 
     Because the columns are deviations from the ensemble mean, the matrix
-    annihilates the ones vector and its rank is at most ``m - 1``.
+    annihilates the ones vector and its rank is at most ``m - 1``. It is
+    stored row-major, like the ensemble's members.
     """
 
     matrix: np.ndarray
     scale_members: int
 
     def __post_init__(self):
-        arr = require_matrix(self.matrix, "perturbation matrix")
+        arr = np.ascontiguousarray(require_matrix(self.matrix, "perturbation matrix"))
         object.__setattr__(self, "matrix", arr)
         if self.scale_members < 2:
             raise ValueError("ensemble too small: need at least 2 members")
@@ -200,11 +201,8 @@ def perturbation_matrix(ens: ForecastEnsemble) -> PerturbationMatrix:
 
 
 def forecast_cov(pert: PerturbationMatrix) -> np.ndarray:
-    """Ensemble forecast covariance ``Z @ Z.T``, exactly symmetric."""
-    # numpy takes a symmetric rank-k update, not a general product, only for
-    # a contiguous operand (C or Fortran order)
-    z = np.ascontiguousarray(pert.matrix)
-    return z @ z.T
+    """Ensemble forecast covariance ``Z @ Z.T``, exactly symmetric since ``Z`` is row-major."""
+    return pert.matrix @ pert.matrix.T
 
 
 def reconstruct_members(mean, perturbations) -> ForecastEnsemble:

@@ -6,7 +6,8 @@ reproduces every float64 bit pattern. Vectors are single-column files.
 Files are parsed by numpy's reader (``np.loadtxt``) in one call. Blank and
 whitespace-only lines are skipped; there are no comment lines, so a ``#``
 line is an error like any other unparsable row. Errors cite the 1-based line
-of the file, counting the skipped lines.
+of the file, counting the skipped lines. A refused row is named by its first
+cell that is blank or that the reader refuses on its own.
 """
 
 from __future__ import annotations
@@ -51,13 +52,8 @@ def _row_error(path: Path, numbered: list[tuple[int, str]]) -> MatrixFileError:
     for index, line in numbered:
         fields = line.split(",")
         if not _parses(line):
-            for field in fields:
-                try:
-                    float(field)
-                except ValueError as exc:
-                    return MatrixFileError(f"{path}: row {index}: {exc}")
-            # float() accepts some spellings the reader refuses, e.g. "1_0".
-            bad = next((field for field in fields if not _parses(field)), line)
+            # a blank cell is tested first: the reader skips it with a warning
+            bad = next((f for f in fields if not f.strip() or not _parses(f)), line)
             return MatrixFileError(f"{path}: row {index}: could not convert string to float: {bad!r}")
         if width is None:
             width = len(fields)

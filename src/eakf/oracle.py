@@ -179,7 +179,7 @@ def compare_cov(lhs, rhs, tolerance: float = TOLERANCE) -> ComparisonReport:
     b = require_matrix(rhs, "rhs")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     return _report(a, b, tolerance)
 

@@ -32,7 +32,8 @@ whitened ``Y = inv(L) H Z`` (``R = L L.T``; the observation model factors
 ``R`` once and whitens), and so do the mean and the Kalman gain; one private
 function builds the factors for every analysis. Nor is ``Za @ Za.T`` formed:
 ``AnalysisResult.covariance`` is a cached property, not a dataclass field,
-formed the first time it is read. So
+formed the first time it is read (``dataclasses.replace`` does not read it),
+from the row-major ``Za`` the result stores. So
 :func:`analyze` costs ``O((n + p) m^2 + p n m)`` time, of which ``Z`` takes
 one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and ``O((n + p) m)`` memory.
 
@@ -53,48 +54,63 @@ Two implementation details decide whether this is exact or silently wrong:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._arrays import _all_finite, center_rows, require_centered
+from ._arrays import _all_finite, _as_float64, center_rows, require_centered
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
 from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, svd_full
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AnalysisResult:
     """Analysis mean and scaled perturbations; the covariance on request.
 
     ``covariance`` is the ``(n, n)`` posterior ``Za @ Za.T``. It is not a
     field: it is formed the first time it is read, then kept, and ``repr``,
-    ``==``, ``dataclasses.asdict`` and ``dataclasses.fields`` never form it. A
-    value passed to the constructor is kept as given. ``dataclasses.replace``
-    reads the covariance when it is not given, so replacing another field
-    forms it and carries it over unchanged: ``replace(result,
-    perturbations=2 * za).covariance`` is still the old ``za @ za.T``.
+    ``==``, ``dataclasses.asdict``, ``dataclasses.fields`` and
+    ``dataclasses.replace`` never form it. ``covariance=None`` means not
+    given; a value passed to the constructor is kept as given.
 
-    The mean and the covariance diagonal must be finite: an analysis that
-    overflows float64 raises instead of passing on ``inf`` or ``nan``. The
-    diagonal is checked as the row sums of squares of ``Za``, in ``O(n m)``,
-    unless a covariance was given.
+    The mean must be ``(n,)``, the perturbations ``(n, m)`` and a given
+    covariance ``(n, n)``; the mean and the perturbations are stored as
+    row-major float64 arrays. The mean and the covariance diagonal must be
+    finite: an analysis that overflows float64 raises instead of passing on
+    ``inf`` or ``nan``. The diagonal is checked as the row sums of squares
+    of ``Za``, in ``O(n m)``, unless a covariance was given.
     """
 
     mean: np.ndarray
     perturbations: np.ndarray
-    # the default is the cached_property below, which stands for "not given"
-    covariance: InitVar[np.ndarray]
+
+    def __init__(self, mean, perturbations, covariance=None):
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "perturbations", perturbations)
+        self.__post_init__(covariance)
 
     def __post_init__(self, covariance):
-        za = self.perturbations
-        if covariance is type(self).covariance:
+        mean = _as_float64(self.mean, "analysis mean")
+        za = _as_float64(self.perturbations, "analysis perturbations")
+        if za.ndim != 2:
+            raise ValueError(f"analysis perturbations: expected a 2-D array, got shape {za.shape}")
+        n = za.shape[0]
+        if mean.shape != (n,):
+            raise ValueError(f"analysis mean: expected shape ({n},), got {mean.shape}")
+        mean, za = np.ascontiguousarray(mean), np.ascontiguousarray(za)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "perturbations", za)
+        if covariance is None:
             # einsum raises no overflow warning; an overflowed square reads inf
             diagonal = np.einsum("ij,ij->i", za, za)
         else:
+            covariance = _as_float64(covariance, "analysis covariance")
+            if covariance.shape != (n, n):
+                raise ValueError(f"analysis covariance: expected shape ({n}, {n}), got {covariance.shape}")
             vars(self)["covariance"] = covariance
             diagonal = np.diagonal(covariance)
-        if not (_all_finite(self.mean) and _all_finite(diagonal)):
+        if not (_all_finite(mean) and _all_finite(diagonal)):
             raise ValueError("analysis mean or covariance not finite in float64")
         require_centered(za, 1e-12, "analysis perturbation rows must sum to zero")
 
@@ -102,8 +118,8 @@ class AnalysisResult:
     def covariance(self) -> np.ndarray:
         """``Za @ Za.T``, formed on first read and kept."""
         za = self.perturbations
-        # numpy evaluates a @ a.T as a symmetric rank-k update, so the
-        # product is exactly symmetric without a symmetrizing copy.
+        # za is row-major, and numpy evaluates a contiguous a @ a.T as a
+        # symmetric rank-k update: exactly symmetric without a symmetrizing copy.
         return za @ za.T
 
     def members(self) -> np.ndarray:

@@ -210,6 +210,16 @@ def test_forecast_cov_symmetric_psd():
             assert eigvals.min() >= -1e-12 * max(np.trace(cov), 1.0)
 
 
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_perturbation_matrix_stores_row_major(layout):
+    members = np.random.default_rng(0).standard_normal((6, 4))
+    z = perturbation_matrix(ForecastEnsemble.from_members(members)).matrix
+    matrix = {"fortran": np.asfortranarray(z), "strided": np.repeat(z, 2, axis=1)[:, ::2]}[layout]
+    stored = PerturbationMatrix(matrix=matrix, scale_members=4).matrix
+    assert stored.flags.c_contiguous
+    np.testing.assert_array_equal(stored, z)
+
+
 def test_reconstruct_examples():
     ens = reconstruct_members(np.zeros(1), np.array([[1.0, -1.0]]))
     np.testing.assert_allclose(ens.members, [[1.0, -1.0]])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,14 @@ def test_non_numeric_cites_row(tmp_path, text, row):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(MatrixFileError, match=f"{row}: could not convert"):
+        read_matrix(path)
+
+
+def test_refused_row_names_its_first_refused_cell(tmp_path):
+    # float() reads "1_0" as 10, so it would name "abc"; the reader refuses both
+    path = tmp_path / "bad.csv"
+    path.write_text("1,2\n1_0,abc\n")
+    with pytest.raises(MatrixFileError, match=re.escape("row 2: could not convert string to float: '1_0'")):
         read_matrix(path)
 
 

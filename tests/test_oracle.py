@@ -118,6 +118,11 @@ def test_compare_errors():
         compare_cov(np.zeros((2, 2)), np.zeros((2, 2)), 0.0)
 
 
+def test_compare_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="tolerance must be positive"):
+        compare_cov(np.zeros((2, 2)), np.zeros((2, 2)), float("nan"))
+
+
 def test_report_round_trips_to_dict():
     rep = compare_cov(np.array([[1.0]]), np.array([[1.0]]), 1e-10)
     d = rep.to_dict()

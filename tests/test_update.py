@@ -358,16 +358,71 @@ def test_analysis_repr_forms_no_covariance():
     assert peak < n * n * 8 / 4, peak
 
 
-@pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="replace reads the old covariance and passes it on as given",
-)
 def test_replace_forms_the_covariance_of_the_new_perturbations():
     inst = random_instance(5, "generic")
     res = analyze(inst.ensemble, inst.observation)
     za = 2 * res.perturbations
     np.testing.assert_allclose(dataclasses.replace(res, perturbations=za).covariance, za @ za.T)
+
+
+def test_replace_forms_no_covariance():
+    inst = random_instance(5, "generic")
+    res = analyze(inst.ensemble, inst.observation)
+    moved = dataclasses.replace(res, mean=res.mean + 1.0)
+    assert "covariance" not in vars(res)
+    assert "covariance" not in vars(moved)
+
+
+def centered_layouts(rng, n, m):
+    """The same centered ``(n, m)`` perturbations in C, Fortran and strided layouts."""
+    z = perturbation_matrix(ForecastEnsemble.from_members(rng.standard_normal((n, m)))).matrix
+    wide = np.repeat(z, 2, axis=1)
+    return np.ascontiguousarray(z), np.asfortranarray(z), wide[:, ::2]
+
+
+def test_analysis_covariance_symmetric_for_any_layout():
+    rng = np.random.default_rng(5)
+    # numpy's general product on a strided (500, 40) view is not symmetric
+    for n, m in [*rng.integers((1, 2), (12, 10), size=(10, 2)), (500, 40)]:
+        for za in centered_layouts(rng, n, m):
+            cov = AnalysisResult(mean=np.zeros(n), perturbations=za).covariance
+            assert np.array_equal(cov, cov.T)
+
+
+@pytest.mark.parametrize("layout", [1, 2], ids=["fortran", "strided"])
+def test_analysis_result_stores_row_major(layout):
+    za = centered_layouts(np.random.default_rng(0), 6, 4)[layout]
+    mean = np.arange(12.0)[::2]
+    res = AnalysisResult(mean=mean, perturbations=za)
+    assert res.mean.flags.c_contiguous and res.perturbations.flags.c_contiguous
+    np.testing.assert_array_equal(res.perturbations, za)
+    np.testing.assert_array_equal(res.mean, mean)
+
+
+@pytest.mark.parametrize(
+    "mean, za, covariance, match",
+    [
+        (np.zeros(1), np.zeros((3, 2)), None, "analysis mean"),
+        (np.zeros((3, 3)), np.zeros((3, 2)), None, "analysis mean"),
+        (np.zeros(3), np.zeros(3), None, "analysis perturbations"),
+        (np.zeros(3), np.zeros((3, 2)), np.zeros((2, 2)), "analysis covariance"),
+    ],
+    ids=["mean-length-1", "mean-2d", "perturbations-1d", "covariance-2x2"],
+)
+def test_analysis_result_rejects_shapes(mean, za, covariance, match):
+    with pytest.raises(ValueError, match=match):
+        AnalysisResult(mean, za, covariance)
+
+
+def test_analysis_result_accepts_lists():
+    res = AnalysisResult(mean=[1.0, 2.0], perturbations=[[1.0, -1.0], [0.5, -0.5]])
+    assert res.mean.dtype == np.float64 and res.perturbations.dtype == np.float64
+    np.testing.assert_array_equal(res.members(), [[2.0, 0.0], [2.5, 1.5]])
+
+
+def test_analysis_result_rejects_complex_perturbations():
+    with pytest.raises(ValueError, match="complex"):
+        AnalysisResult(mean=np.zeros(1), perturbations=np.array([[1.0 + 1.0j, -1.0 - 1.0j]]))
 
 
 @pytest.mark.parametrize("category", ALL_CATEGORIES)
