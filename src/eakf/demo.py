@@ -10,13 +10,13 @@ LAPACK ``dsyevd``) puts the zero eigenvalues of the null space first
 instead, so the cut drops live columns and the analysis ensemble loses
 variance it should have kept. :func:`misordered_analysis` reproduces that
 failure on purpose: from the factors :func:`eakf.update.analyze` builds, it
-takes the columns of ``C`` (and the eigenvalues with them) in ascending order
-and cuts there.
+makes the analysis' own cut on ``C`` reversed into ascending-eigenvalue
+order, so it differs from the analysis in that order alone.
 
 :func:`run_pitfall_demo` runs the hand-checkable scalar instance and one
-random rank-deficient instance both ways, from one factorization per
-instance, and reports the analysis covariance trace of each against the
-exact Kalman posterior trace, all read off
+random rank-deficient instance both ways, from one ``Z`` and one
+factorization per instance, and reports the analysis covariance trace of
+each against the exact Kalman posterior trace, all read off
 :func:`eakf.oracle.compare_factored` without an ``(n, n)`` matrix. The
 misordered run must lose trace (under-dispersion) while the correct run
 must match the oracle; anything else is a failure of the demonstration.
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensemble import ForecastEnsemble, ObservationModel, perturbation_matrix
+from .ensemble import ForecastEnsemble, ObservationModel
 from .instances import RANK_DEFICIENT, random_instance
 from .linalg import OrderedEigen, SvdFactors
 from .oracle import TOLERANCE, compare_factored
-from .update import AnalysisResult, _analysis_factors, _transformed, adjustment_matrix
+from .update import AnalysisResult, _analysis_factors, _cut, _transformed, adjustment_matrix
 
 SCHEMA_VERSION = 1
 
@@ -47,24 +47,19 @@ def scalar_instance() -> tuple[ForecastEnsemble, ObservationModel]:
 
 
 def _misordered_transform(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
-    """:func:`eakf.update.adjustment_matrix` with ``C`` in ascending-eigenvalue order."""
-    r = svd.rank
-    # ascending values cannot go through an OrderedEigen, so the columns
-    # are indexed here
-    vectors, values = eig.vectors[:, ::-1][:, :r], eig.values[::-1][:r]
-    return (vectors / np.sqrt(1.0 + values)) @ svd.row_space_basis().T
+    """The analysis' own cut (:func:`eakf.update._cut`) on ``C`` in ascending-eigenvalue order."""
+    return _cut(svd, eig.vectors[:, ::-1], eig.values[::-1])
 
 
 def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """The analysis with the null-space eigenvectors misordered: the pitfall.
 
     Reads the factors and the Kalman mean that :func:`eakf.update.analyze`
-    builds, reverses the columns of ``C`` into ascending-eigenvalue order, so
-    that the ``m - r`` null vectors lead, and keeps the leading
-    ``r = rank(Z)`` of them. For ``r >= 1`` that cuts at least one live
-    column; at ``r = 0`` the result is the correct analysis. The mean is the
-    exact Kalman mean; only the perturbations, and with them the covariance
-    ``Za @ Za.T``, are wrong.
+    builds and reverses ``C`` into ascending-eigenvalue order, so that the
+    ``m - r`` null vectors lead the ``r = rank(Z)`` it keeps. For ``r >= 1``
+    that cuts at least one live column; at ``r = 0`` the result is the
+    correct analysis. The mean is the exact Kalman mean; only the
+    perturbations, and with them the covariance ``Za @ Za.T``, are wrong.
     """
     return _transformed(ens, obs, _analysis_factors(ens, obs), _misordered_transform)
 
@@ -84,12 +79,11 @@ def run_pitfall_demo(seed: int) -> dict:
 
     rows = []
     for name, ensemble, model in instances:
-        # one factorization serves both cuts
+        # one Z and one factorization serve both cuts and their judge
         factors = _analysis_factors(ensemble, model)
-        pert = perturbation_matrix(ensemble)
         correct, misordered = (
-            compare_factored(_transformed(ensemble, model, factors, transform).perturbations, pert, model)
-            for transform in (adjustment_matrix, _misordered_transform)
+            compare_factored(_transformed(ensemble, model, factors, cut).perturbations, factors[0], model)
+            for cut in (adjustment_matrix, _misordered_transform)
         )
         deficit = correct.trace_rhs - misordered.trace_lhs
         rows.append(

@@ -173,14 +173,15 @@ def compare_cov(lhs, rhs, tolerance: float = TOLERANCE) -> ComparisonReport:
     """Compare two covariance matrices of identical shape.
 
     ``passed`` is ``frobenius_rel <= tolerance``; every command judges at the
-    :data:`TOLERANCE` contract, and a tighter value is for tests only.
+    :data:`TOLERANCE` contract, a tighter value is for tests only, and a
+    looser one raises.
     """
     a = require_matrix(lhs, "lhs")
     b = require_matrix(rhs, "rhs")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tolerance <= TOLERANCE:
+        raise ValueError(f"tolerance must be positive and at most {TOLERANCE:g}, got {tolerance!r}")
     return _report(a, b, tolerance)
 
 

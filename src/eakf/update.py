@@ -76,10 +76,10 @@ class AnalysisResult:
 
     The mean must be ``(n,)``, the perturbations ``(n, m)`` and a given
     covariance ``(n, n)``; the mean and the perturbations are stored as
-    row-major float64 arrays. The mean and the covariance diagonal must be
+    row-major float64 arrays. The mean, the row sums of squares of ``Za``
+    (always, in ``O(n m)``) and every entry of a given covariance must be
     finite: an analysis that overflows float64 raises instead of passing on
-    ``inf`` or ``nan``. The diagonal is checked as the row sums of squares
-    of ``Za``, in ``O(n m)``, unless a covariance was given.
+    ``inf`` or ``nan``.
     """
 
     mean: np.ndarray
@@ -101,16 +101,15 @@ class AnalysisResult:
         mean, za = np.ascontiguousarray(mean), np.ascontiguousarray(za)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "perturbations", za)
-        if covariance is None:
-            # einsum raises no overflow warning; an overflowed square reads inf
-            diagonal = np.einsum("ij,ij->i", za, za)
-        else:
+        # einsum raises no overflow warning; an overflowed square reads inf
+        finite = _all_finite(mean) and _all_finite(np.einsum("ij,ij->i", za, za))
+        if covariance is not None:
             covariance = _as_float64(covariance, "analysis covariance")
             if covariance.shape != (n, n):
                 raise ValueError(f"analysis covariance: expected shape ({n}, {n}), got {covariance.shape}")
             vars(self)["covariance"] = covariance
-            diagonal = np.diagonal(covariance)
-        if not (_all_finite(mean) and _all_finite(diagonal)):
+            finite = finite and _all_finite(covariance)
+        if not finite:
             raise ValueError("analysis mean or covariance not finite in float64")
         require_centered(za, 1e-12, "analysis perturbation rows must sum to zero")
 
@@ -149,15 +148,15 @@ def _gain_weights(g: np.ndarray) -> np.ndarray:
 
 
 def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
-    """The factors every analysis reads: ``(Z, svd, eig)``.
+    """The factors every analysis reads: ``(pert, svd, eig)``.
 
-    ``svd`` is :func:`eakf.linalg.svd_full` of ``Z`` and ``eig`` the
-    :func:`eakf.linalg.ordered_eig_psd` result for ``Y = inv(L) H Z =
-    U_W diag(s) C[:, :k].T``.
+    ``pert`` holds the one ``Z`` of the analysis, ``svd`` is its
+    :func:`eakf.linalg.svd_full` and ``eig`` the :func:`eakf.linalg.ordered_eig_psd`
+    result for ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T``.
     """
     pert = perturbation_matrix(ens)
     svd = svd_full(pert.matrix)
-    return pert.matrix, svd, ordered_eig_psd(project_observations(pert, obs), svd)
+    return pert, svd, ordered_eig_psd(project_observations(pert, obs), svd)
 
 
 def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
@@ -167,11 +166,20 @@ def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
     ``(p, k)`` right-hand sides (a triangular solve, or a row scale for a
     diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it.
     """
-    z, _, eig = _analysis_factors(ens, obs)
+    pert, _, eig = _analysis_factors(ens, obs)
     k = eig.obs_vectors.shape[1]
     # (U_W D).T inv(L) = (inv(L).T U_W D).T
     whitened = obs.whiten(eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
-    return (z @ eig.vectors[:, :k]) @ whitened.T
+    return (pert.matrix @ eig.vectors[:, :k]) @ whitened.T
+
+
+def _cut(svd: SvdFactors, vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The rank-``r`` cut ``vectors[:, :r] @ diag(1 / sqrt(1 + values[:r])) @ B.T``.
+
+    ``r = svd.rank``; ``pinv(Sig) @ Sig`` keeps the leading ``r`` columns, in the order given.
+    """
+    r = svd.rank
+    return (vectors[:, :r] / np.sqrt(1.0 + values[:r])) @ svd.row_space_basis().T
 
 
 def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
@@ -179,13 +187,11 @@ def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
 
     ``svd`` is :func:`eakf.linalg.svd_full` of ``Z`` and ``eig`` the
     :func:`eakf.linalg.ordered_eig_psd` result built on it; ``T`` is their
-    rank-``r`` cut ``C[:, :r] @ diag(1 / sqrt(1 + g[:r])) @ B.T``, where
-    ``pinv(Sig) @ Sig`` keeps the leading ``r`` columns. A zero-spread
+    :func:`_cut` of ``C`` with the null-space vectors last. A zero-spread
     ensemble (rank 0) yields the zero transform, the correct limit since a
     zero forecast covariance forces a zero posterior.
     """
-    r = svd.rank
-    return (eig.vectors[:, :r] / np.sqrt(1.0 + eig.values[:r])) @ svd.row_space_basis().T
+    return _cut(svd, eig.vectors, eig.values)
 
 
 def _transformed(ens: ForecastEnsemble, obs: ObservationModel, factors, transform) -> AnalysisResult:
@@ -199,12 +205,12 @@ def _transformed(ens: ForecastEnsemble, obs: ObservationModel, factors, transfor
     ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
     the innovation and an ``m``-vector of weights.
     """
-    z, svd, eig = factors
+    pert, svd, eig = factors
     k = eig.obs_vectors.shape[1]
     innovation = obs.whiten(obs.observation - obs.operator @ ens.mean)
     weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
-    mean_a = ens.mean + z @ (eig.vectors[:, :k] @ weights)
-    za = z @ transform(svd, eig)
+    mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
+    za = pert.matrix @ transform(svd, eig)
     # Z @ T annihilates the ones vector in exact arithmetic; remove the
     # matmul rounding residue so the centering invariant holds exactly.
     center_rows(za)

@@ -123,6 +123,18 @@ def test_compare_rejects_nan_tolerance():
         compare_cov(np.zeros((2, 2)), np.zeros((2, 2)), float("nan"))
 
 
+@pytest.mark.parametrize("tolerance", [np.inf, 10.0, 2e-10])
+def test_compare_rejects_a_tolerance_looser_than_the_contract(tolerance):
+    # at 10.0 and at inf a five-fold covariance would pass
+    with pytest.raises(ValueError, match="tolerance must be positive and at most 1e-10"):
+        compare_cov(np.eye(2), 5 * np.eye(2), tolerance)
+
+
+def test_compare_accepts_a_tighter_tolerance():
+    rep = compare_cov(np.eye(2), np.eye(2), 1e-12)
+    assert rep.passed and rep.tolerance == 1e-12
+
+
 def test_report_round_trips_to_dict():
     rep = compare_cov(np.array([[1.0]]), np.array([[1.0]]), 1e-10)
     d = rep.to_dict()

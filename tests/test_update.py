@@ -4,8 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import eakf.demo
+import eakf.update
 from eakf.demo import misordered_analysis, run_pitfall_demo
-from eakf.ensemble import ForecastEnsemble, ObservationModel, forecast_cov, perturbation_matrix
+from eakf.ensemble import (
+    ForecastEnsemble,
+    ObservationModel,
+    PerturbationMatrix,
+    forecast_cov,
+    perturbation_matrix,
+)
 from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
 from eakf.oracle import compare_cov, posterior_cov_direct, posterior_cov_woodbury
@@ -135,6 +143,44 @@ def test_whitenings_per_analysis(monkeypatch, run, whitenings):
     monkeypatch.setattr(ObservationModel, "whiten", counted)
     run(random_instance(0, "generic"))
     assert len(calls) == whitenings
+
+
+@pytest.mark.parametrize(
+    "run, cuts",
+    [
+        (lambda inst: analyze(inst.ensemble, inst.observation), 1),
+        (lambda inst: misordered_analysis(inst.ensemble, inst.observation), 1),
+        (lambda inst: run_pitfall_demo(0), 4),
+    ],
+    ids=["analyze", "misordered_analysis", "run_pitfall_demo"],
+)
+def test_both_orders_go_through_one_cut(monkeypatch, run, cuts):
+    # the pitfall differs from the analysis only in the order of C, so both
+    # transforms are the one rank-r cut; the demo cuts two instances both ways
+    calls, cut = [], eakf.update._cut
+
+    def counted(*args):
+        calls.append(args)
+        return cut(*args)
+
+    monkeypatch.setattr(eakf.update, "_cut", counted)
+    monkeypatch.setattr(eakf.demo, "_cut", counted)
+    run(random_instance(0, "rank_deficient"))
+    assert len(calls) == cuts
+
+
+def test_pitfall_demo_builds_one_z_per_instance(monkeypatch):
+    # both cuts and the judge of each of the two instances read the Z that
+    # the analysis factors were built from
+    calls, post_init = [], PerturbationMatrix.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        return post_init(self)
+
+    monkeypatch.setattr(PerturbationMatrix, "__post_init__", counted)
+    run_pitfall_demo(0)
+    assert len(calls) == 2
 
 
 def test_kalman_gain_scalar():
@@ -423,6 +469,24 @@ def test_analysis_result_accepts_lists():
 def test_analysis_result_rejects_complex_perturbations():
     with pytest.raises(ValueError, match="complex"):
         AnalysisResult(mean=np.zeros(1), perturbations=np.array([[1.0 + 1.0j, -1.0 - 1.0j]]))
+
+
+def test_given_covariance_is_checked_off_the_diagonal():
+    inst = random_instance(5, "generic")
+    res = analyze(inst.ensemble, inst.observation)
+    cov = res.covariance.copy()
+    cov[0, 1] = np.nan
+    with pytest.raises(ValueError, match="analysis mean or covariance not finite in float64"):
+        dataclasses.replace(res, covariance=cov)
+
+
+def test_infinite_perturbations_raise_with_a_given_covariance():
+    inst = random_instance(5, "generic")
+    res = analyze(inst.ensemble, inst.observation)
+    za = res.perturbations.copy()
+    za[0, :2] = np.inf, -np.inf
+    with pytest.raises(ValueError, match="analysis mean or covariance not finite in float64"):
+        AnalysisResult(res.mean, za, res.covariance)
 
 
 @pytest.mark.parametrize("category", ALL_CATEGORIES)
