@@ -1,4 +1,5 @@
-"""Array validation and small norm helpers shared across the package.
+"""Array validation and small norm helpers shared across the package, and
+the lazily imported LAPACK module.
 
 The analyses these helpers guard are small (``verify`` draws ``n <= 20``,
 ``m <= 12``), so a numpy call's fixed cost outweighs its arithmetic. Each
@@ -9,6 +10,7 @@ the same C loops.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,6 +24,21 @@ _TINY = float(np.finfo(np.float64).tiny)
 
 # Smallest norm whose squared entries sum without underflow error
 _MIN_UNSCALED_NORM = math.sqrt(_TINY / np.finfo(np.float64).eps)
+
+
+@functools.cache
+def _lapack():
+    """``scipy.linalg.lapack``, imported on the first call and kept.
+
+    Only a matrix ``R`` and the oracle call LAPACK routines that numpy does
+    not expose, so ``import eakf``, and an analysis with ``R`` given as
+    variances, never load scipy, which takes most of the package's import
+    time. A ``from ... import`` in each caller would cost microseconds per
+    call; the cached module costs a dictionary lookup.
+    """
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _as_float64(a, name: str) -> np.ndarray:

@@ -12,10 +12,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtrs
 
 from ._arrays import (
-    _all_finite, center_rows, frobenius, require_centered, require_matrix, require_vector, symmetrize,
+    _all_finite, _lapack, center_rows, frobenius, require_centered, require_matrix, require_vector, symmetrize,
 )
 
 
@@ -101,7 +100,24 @@ class PerturbationMatrix:
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Observation operator (p, n), SPD error covariance, observation (p,).
+    """Observation operator ``H``, SPD error covariance ``R``, observation (p,).
+
+    ``operator`` takes one of two forms, and the model only ever applies it
+    (:meth:`apply`), so neither is expanded:
+
+    * a ``(p, n)`` float matrix, stored row-major, like the ensemble's
+      members, so that the analysis does not depend on the caller's memory
+      layout; or
+    * a 1-D integer array of ``p`` state indices, for an operator that
+      selects state entries: ``H x`` is ``x[operator]``. Indices may repeat
+      (one variable observed twice) and come in any order; a negative index
+      or a boolean mask is refused, and a 1-D float array is refused as a
+      matrix that is not 2-D. The index form stores no ``(p, n)`` array, and
+      applying it costs ``O(p m)`` instead of ``O(p n m)``.
+
+    An index does not fix ``n``, so the state dimension is checked where
+    ``H`` is applied, against the array it is applied to. A general linear
+    operator (a callable) is not accepted.
 
     ``covariance`` is a (p, p) matrix, or a length-p vector of variances for
     a diagonal ``R``, which is kept as given and never expanded. A matrix
@@ -114,8 +130,8 @@ class ObservationModel:
     order with zeros above the diagonal. :meth:`whiten` applies ``inv(L)``,
     through LAPACK's ``trtrs`` for a matrix. Both routines are called
     directly: at small ``p`` scipy's wrappers cost several times the solve.
-    ``operator`` is stored row-major, like the ensemble's members, so that
-    the analysis does not depend on the caller's memory layout.
+    scipy is imported only for a matrix ``R``; a model with variances never
+    loads it.
     """
 
     operator: np.ndarray
@@ -124,7 +140,7 @@ class ObservationModel:
     cholesky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        operator = np.ascontiguousarray(require_matrix(self.operator, "observation operator"))
+        operator = _operator(self.operator)
         observation = require_vector(self.observation, "observation")
         p = operator.shape[0]
         # the raw input reaches the checks, so a complex R raises, not casts
@@ -151,9 +167,26 @@ class ObservationModel:
     def obs_dim(self) -> int:
         return self.operator.shape[0]
 
-    @property
-    def state_dim(self) -> int:
-        return self.operator.shape[1]
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``H @ x`` for a state vector ``(n,)`` or perturbations ``(n, m)``.
+
+        ``x[operator]`` for state indices, which gives the bits of the
+        one-hot product (but keeps a ``-0.0`` the product turns into
+        ``+0.0``), else ``operator @ x``. This is where the state dimension
+        ``n = x.shape[0]`` is checked.
+        """
+        op, n = self.operator, x.shape[0]
+        if op.ndim == 1:
+            # the gather checks the range itself; no index is negative
+            try:
+                return x[op]
+            except IndexError:
+                raise ValueError(
+                    f"observation operator index {op.max()} out of range for state dimension {n}"
+                ) from None
+        if op.shape[1] != n:
+            raise ValueError(f"observation operator has {op.shape[1]} state columns, expected {n}")
+        return op @ x
 
     def whiten(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """``inv(L) @ rhs``, or ``inv(L).T @ rhs`` with ``trans="T"``.
@@ -167,8 +200,24 @@ class ObservationModel:
             # LAPACK rejects an empty triangle; p = 0 leaves nothing to solve
             return np.empty_like(rhs)
         # info is nonzero only for a zero on the diagonal, which potrf rules out
-        solved, _ = dtrtrs(factor, rhs, lower=1, trans=("N", "T").index(trans))
+        solved, _ = _lapack().dtrtrs(factor, rhs, lower=1, trans=("N", "T").index(trans))
         return solved
+
+
+def _operator(operator) -> np.ndarray:
+    """``H`` as state indices (a 1-D integer array) or a row-major float matrix."""
+    name = "observation operator"
+    if np.ndim(operator) == 1:
+        index = np.asarray(operator)
+        if index.dtype == np.bool_:
+            raise ValueError(f"{name}: a boolean mask is not accepted; pass the state indices it selects")
+        if index.dtype.kind in "iu":
+            index = np.ascontiguousarray(index, dtype=np.intp)
+            # the ufunc reduction, without ndarray.min's wrapper
+            if index.size and np.minimum.reduce(index) < 0:
+                raise ValueError(f"{name}: state index {np.minimum.reduce(index)} is negative")
+            return index
+    return np.ascontiguousarray(require_matrix(operator, name))
 
 
 def _error_factor(cov: np.ndarray) -> np.ndarray:
@@ -178,7 +227,7 @@ def _error_factor(cov: np.ndarray) -> np.ndarray:
         if not np.logical_and.reduce(cov > 0.0):
             raise np.linalg.LinAlgError(message)
         return np.sqrt(cov)
-    factor, info = dpotrf(cov, lower=1, clean=1)
+    factor, info = _lapack().dpotrf(cov, lower=1, clean=1)
     if info:
         raise np.linalg.LinAlgError(message)
     return factor

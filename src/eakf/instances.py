@@ -10,7 +10,8 @@ Categories:
   the state space (``rank <= m - 1 < n``).
 * ``partial_obs``: coordinate-selection operator with fewer rows than the
   perturbation rank, so the observed Gram matrix has extra null directions
-  inside the row space.
+  inside the row space. It is kept as its ``p`` sorted, distinct state
+  indices (see :class:`eakf.ensemble.ObservationModel`), not as one-hot rows.
 * ``zero_h``: zero observation operator (no information in the update).
 
 Sizes are fixed: ``n`` in 1-20 (``m``-20 for ``rank_deficient``), ``m`` in
@@ -91,8 +92,7 @@ def random_instance(seed: int, category: str = GENERIC) -> RandomInstance:
     if category == ZERO_H:
         operator = np.zeros((p, n))
     elif category == PARTIAL_OBS:
-        rows = rng.choice(n, size=p, replace=False)
-        operator = np.eye(n)[np.sort(rows)]
+        operator = np.sort(rng.choice(n, size=p, replace=False))
     else:
         operator = rng.standard_normal((p, n))
 

@@ -13,7 +13,11 @@ deliberately shares no decomposition code with :mod:`eakf.update`: every
 route works through plain Cholesky solves on the matrices as written,
 LAPACK's ``potrf`` and ``potrs`` called directly. An oracle that reused the
 SVD/eigendecomposition pipeline could inherit the very ordering bug it is
-supposed to catch.
+supposed to catch. Nor does it apply ``H`` through the observation model:
+each route multiplies by ``H`` as a matrix, and expands a selection operator
+given as state indices into its one-hot rows, ``np.eye(n)[idx]``, as it
+expands a variance vector into ``diag(r)``. scipy is imported on the first
+call, so importing this module does not load it.
 
 :func:`compare_cov` compares two dense ``(n, n)`` covariances.
 :func:`compare_factored` judges an analysis ``Za`` against the Woodbury
@@ -35,9 +39,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dpotrf, dpotrs
 
-from ._arrays import REL_NORM_FLOOR, _all_finite, frobenius, require_matrix, symmetrize
+from ._arrays import REL_NORM_FLOOR, _all_finite, _lapack, frobenius, require_matrix, symmetrize
 from .ensemble import ObservationModel, PerturbationMatrix
 
 # The exactness contract: the largest relative Frobenius error of an analysis
@@ -87,7 +90,7 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(_NOT_FINITE)
     # the symmetrized copy is exactly symmetric and ours: its transpose is
     # Fortran-ordered, so potrf factors it in place instead of copying it
-    factor, info = dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
+    factor, info = _lapack().dpotrf(matrix.T, lower=1, clean=0, overwrite_a=1)
     if info:
         raise np.linalg.LinAlgError(f"{what} not positive definite")
     if not _all_finite(rhs):
@@ -95,7 +98,7 @@ def _spd_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     if not rhs.size:
         # LAPACK rejects an empty system; p = 0 leaves nothing to solve
         return np.empty_like(rhs)
-    solved, _ = dpotrs(factor, rhs, lower=1)
+    solved, _ = _lapack().dpotrs(factor, rhs, lower=1)
     return solved
 
 
@@ -105,15 +108,35 @@ def _dense_error_cov(obs: ObservationModel) -> np.ndarray:
     return np.diag(r) if r.ndim == 1 else r
 
 
+def _dense_operator(obs: ObservationModel, n: int, against: str) -> np.ndarray:
+    """``H`` as a ``(p, n)`` matrix; state indices become the rows ``np.eye(n)[idx]``.
+
+    ``against`` names what ``n`` was read from, in the error raised when the
+    operator does not fit it.
+    """
+    h = obs.operator
+    message = f"observation operator inconsistent with {against}"
+    if h.ndim == 2:
+        if h.shape[1] != n:
+            raise ValueError(message)
+        return h
+    # the one-hot rows, without forming the n x n identity; the assignment
+    # checks the range of the indices, none of which is negative
+    dense = np.zeros((h.size, n))
+    try:
+        dense[np.arange(h.size), h] = 1.0
+    except IndexError:
+        raise ValueError(message) from None
+    return dense
+
+
 def posterior_cov_direct(forecast_cov, obs: ObservationModel) -> np.ndarray:
     """Posterior covariance ``(I - K H) P_f`` with the standard gain."""
     pf = require_matrix(forecast_cov, "forecast covariance")
     n = pf.shape[0]
     if pf.shape != (n, n):
         raise ValueError("forecast covariance must be square")
-    if obs.state_dim != n:
-        raise ValueError("observation operator inconsistent with forecast covariance")
-    h = obs.operator
+    h = _dense_operator(obs, n, "forecast covariance")
     hpf = h @ pf
     innovation_cov = hpf @ h.T + _dense_error_cov(obs)
     # K.T = inv(H P_f H.T + R) @ H @ P_f
@@ -124,9 +147,7 @@ def posterior_cov_direct(forecast_cov, obs: ObservationModel) -> np.ndarray:
 def posterior_cov_reduced(pert: PerturbationMatrix, obs: ObservationModel) -> np.ndarray:
     """Posterior covariance ``Z [I - V (V.T V + R)^-1 V.T] Z.T``."""
     z = pert.matrix
-    if obs.state_dim != z.shape[0]:
-        raise ValueError("observation operator inconsistent with perturbations")
-    v = (obs.operator @ z).T
+    v = (_dense_operator(obs, z.shape[0], "perturbations") @ z).T
     solved = _spd_solve(v.T @ v + _dense_error_cov(obs), v.T, "reduced-form innovation covariance")
     middle = np.eye(pert.size) - v @ solved
     return symmetrize(z @ middle @ z.T)
@@ -134,9 +155,7 @@ def posterior_cov_reduced(pert: PerturbationMatrix, obs: ObservationModel) -> np
 
 def _woodbury_matrix(z: np.ndarray, obs: ObservationModel) -> np.ndarray:
     """The ensemble-space Woodbury matrix ``I + V R^-1 V.T``, ``V = (H Z).T``."""
-    if obs.state_dim != z.shape[0]:
-        raise ValueError("observation operator inconsistent with perturbations")
-    v = (obs.operator @ z).T
+    v = (_dense_operator(obs, z.shape[0], "perturbations") @ z).T
     r_inv_vt = _spd_solve(_dense_error_cov(obs), v.T, "observation error covariance R")
     return np.eye(z.shape[1]) + v @ r_inv_vt
 
@@ -212,7 +231,7 @@ def compare_factored(za, pert: PerturbationMatrix, obs: ObservationModel) -> Com
     _, exponent = np.frexp(np.maximum.reduce(np.abs(stacked), axis=None, initial=0.0))
     np.ldexp(stacked, -exponent, out=stacked)
     # info is nonzero only for an illegal argument
-    factored, _, _, _ = dgeqrf(stacked, lwork=_QR_WORK_PER_COLUMN * 2 * m, overwrite_a=1)
+    factored, _, _, _ = _lapack().dgeqrf(stacked, lwork=_QR_WORK_PER_COLUMN * 2 * m, overwrite_a=1)
     triangle = np.triu(factored[: 2 * m])
     r_a, r_z = triangle[:, :m], triangle[:, m:]
     reference = r_z @ _spd_solve(middle, r_z.T, "ensemble-space Woodbury matrix")

@@ -2,7 +2,10 @@
 
 Truth evolves as ``x_{k+1} = DYNAMICS_DECAY * x_k + w_k`` with Gaussian
 model noise of variance ``MODEL_NOISE_VAR``; the full state is observed at
-every step with independent Gaussian errors of variance ``OBS_NOISE_VAR``.
+every step with independent Gaussian errors of variance ``OBS_NOISE_VAR``,
+through the selection operator ``np.arange(n)`` (``H = I`` given as state
+indices, so ``H Z`` is a row gather, not a product with an ``n x n``
+identity) and a vector of variances (so no cycle loads scipy).
 The ensemble is propagated with the same dynamics plus independent
 per-member noise and analyzed with :func:`eakf.update.analyze`. What a run
 checks today is that the cycle stays well posed: every analysis passes the
@@ -51,7 +54,7 @@ def run_twin(cfg: TwinConfig) -> dict:
     rng = np.random.default_rng(cfg.seed)
     model_std = np.sqrt(MODEL_NOISE_VAR)
     obs_std = np.sqrt(OBS_NOISE_VAR)
-    operator = np.eye(cfg.n)
+    operator = np.arange(cfg.n)
     obs_variances = np.full(cfg.n, OBS_NOISE_VAR)
 
     truth = rng.standard_normal(cfg.n)

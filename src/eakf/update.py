@@ -34,8 +34,10 @@ function builds the factors for every analysis. Nor is ``Za @ Za.T`` formed:
 ``AnalysisResult.covariance`` is a cached property, not a dataclass field,
 formed the first time it is read (``dataclasses.replace`` does not read it),
 from the row-major ``Za`` the result stores. So
-:func:`analyze` costs ``O((n + p) m^2 + p n m)`` time, of which ``Z`` takes
-one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and ``O((n + p) m)`` memory.
+:func:`analyze` costs ``O((n + p) m^2)`` time plus ``O(p n m)`` for a matrix
+``H`` (a selection operator given as state indices is a gather, ``O(p m)``),
+of which ``Z`` takes one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and
+``O((n + p) m)`` memory.
 
 Two implementation details decide whether this is exact or silently wrong:
 
@@ -132,14 +134,10 @@ def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.
 
     ``L`` is the Cholesky factor the observation model holds (``R = L L.T``),
     so ``Y.T @ Y = Z.T H.T inv(R) H Z``; neither ``inv(R)`` nor that product
-    is formed.
+    is formed. ``H Z`` is :meth:`ObservationModel.apply`: a row gather for
+    state indices, a product for a matrix.
     """
-    if obs.state_dim != pert.state_dim:
-        raise ValueError(
-            f"observation operator has {obs.state_dim} state columns, "
-            f"expected {pert.state_dim}"
-        )
-    return obs.whiten(obs.operator @ pert.matrix)
+    return obs.whiten(obs.apply(pert.matrix))
 
 
 def _gain_weights(g: np.ndarray) -> np.ndarray:
@@ -207,7 +205,7 @@ def _transformed(ens: ForecastEnsemble, obs: ObservationModel, factors, transfor
     """
     pert, svd, eig = factors
     k = eig.obs_vectors.shape[1]
-    innovation = obs.whiten(obs.observation - obs.operator @ ens.mean)
+    innovation = obs.whiten(obs.observation - obs.apply(ens.mean))
     weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
     mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
     za = pert.matrix @ transform(svd, eig)

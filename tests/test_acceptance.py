@@ -47,6 +47,12 @@ def sweep():
         yield random_instance(index, ALL_CATEGORIES[index % len(ALL_CATEGORIES)])
 
 
+def operator_matrix(obs, n):
+    """``H`` as a ``(p, n)`` matrix: a selection operator's indices become one-hot rows."""
+    h = obs.operator
+    return np.eye(n)[h] if h.ndim == 1 else h
+
+
 def scalar_case():
     ens = ForecastEnsemble.from_members(np.array([[1.0, -1.0]]))
     obs = ObservationModel(operator=[[1.0]], covariance=[[2.0]], observation=[1.0])
@@ -160,7 +166,7 @@ def test_criterion_5_mean_update():
         pert = perturbation_matrix(inst.ensemble)
         pf = forecast_cov(pert)
         h, r, y = (
-            inst.observation.operator,
+            operator_matrix(inst.observation, inst.ensemble.state_dim),
             inst.observation.covariance,
             inst.observation.observation,
         )
@@ -203,7 +209,7 @@ def test_criterion_6_structural_invariants(tmp_path):
                 np.linalg.norm(pert.matrix @ f.null_space_basis()),
             ) / scale
             svd_worst = max(svd_worst, svd_rel)
-            gram = (inst.observation.operator @ pert.matrix).T
+            gram = (operator_matrix(inst.observation, pert.state_dim) @ pert.matrix).T
             s = gram @ np.linalg.solve(inst.observation.covariance, gram.T)
             s = 0.5 * (s + s.T)
             whitened = project_observations(pert, inst.observation)

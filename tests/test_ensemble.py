@@ -261,7 +261,7 @@ def test_observation_model_diagonal_covariance():
     )
     np.testing.assert_array_equal(model.covariance, [2.0, 3.0])
     np.testing.assert_array_equal(model.cholesky, np.sqrt([2.0, 3.0]))
-    assert model.obs_dim == 2 and model.state_dim == 2
+    assert model.obs_dim == 2
 
 
 def test_observation_model_variance_errors():
@@ -357,3 +357,63 @@ def test_observation_model_shape_errors():
         ObservationModel(operator=np.eye(2), covariance=np.eye(3), observation=np.zeros(2))
     with pytest.raises(ValueError, match="observation length"):
         ObservationModel(operator=np.eye(2), covariance=np.eye(2), observation=np.zeros(3))
+
+
+# ------------------------------------------------- the state-index operator
+
+
+def test_index_operator_is_kept_as_indices():
+    # repeated and unsorted: the same variable observed twice, in any order
+    model = ObservationModel(operator=[2, 0, 2], covariance=[1.0, 2.0, 3.0], observation=np.zeros(3))
+    assert model.operator.dtype == np.intp and model.operator.tolist() == [2, 0, 2]
+    assert model.obs_dim == 3
+    x = np.arange(12.0).reshape(4, 3)
+    assert np.array_equal(model.apply(x), x[[2, 0, 2]])
+    assert np.array_equal(model.apply(x[:, 0]), [6.0, 0.0, 6.0])
+
+
+def test_index_operator_accepts_unsigned_integers():
+    index = np.array([1, 0], dtype=np.uint8)
+    model = ObservationModel(operator=index, covariance=[1.0, 1.0], observation=[0.0, 0.0])
+    assert model.operator.dtype == np.intp and model.operator.tolist() == [1, 0]
+
+
+def test_index_operator_without_observations():
+    model = ObservationModel(operator=np.arange(0), covariance=np.zeros(0), observation=[])
+    assert model.obs_dim == 0
+    assert model.apply(np.ones((5, 3))).shape == (0, 3)
+    assert model.apply(np.ones(5)).shape == (0,)
+
+
+def test_index_operator_refuses_a_negative_index():
+    with pytest.raises(ValueError, match="^observation operator: state index -1 is negative$"):
+        ObservationModel(operator=[0, -1], covariance=[1.0, 1.0], observation=np.zeros(2))
+
+
+def test_index_operator_refuses_a_boolean_mask():
+    message = "^observation operator: a boolean mask is not accepted; pass the state indices it selects$"
+    with pytest.raises(ValueError, match=message):
+        ObservationModel(operator=np.array([True, False]), covariance=[1.0], observation=np.zeros(1))
+
+
+def test_index_operator_refuses_floats():
+    # a 1-D float array is a matrix that is not 2-D, as before
+    with pytest.raises(ValueError, match=r"^observation operator: expected a 2-D array, got shape \(2,\)$"):
+        ObservationModel(operator=np.array([0.0, 1.0]), covariance=[1.0, 1.0], observation=np.zeros(2))
+
+
+def test_apply_checks_the_state_dimension():
+    model = ObservationModel(operator=[0, 3], covariance=[1.0, 1.0], observation=np.zeros(2))
+    message = "^observation operator index 3 out of range for state dimension 3$"
+    for x in (np.zeros((3, 4)), np.zeros(3)):
+        with pytest.raises(ValueError, match=message):
+            model.apply(x)
+    assert model.apply(np.arange(4.0)).tolist() == [0.0, 3.0]
+    dense = ObservationModel(operator=np.ones((2, 3)), covariance=[1.0, 1.0], observation=np.zeros(2))
+    with pytest.raises(ValueError, match="^observation operator has 3 state columns, expected 2$"):
+        dense.apply(np.zeros((2, 4)))
+
+
+def test_observation_model_has_no_state_dimension():
+    # an index does not fix n; apply checks it against what H is applied to
+    assert not hasattr(ObservationModel, "state_dim")

@@ -49,10 +49,11 @@ def test_partial_obs_has_rank_gap():
         pert = perturbation_matrix(inst.ensemble)
         rank_z = svd_full(pert.matrix).rank
         h = inst.observation.operator
-        # coordinate-selection operator with fewer rows than rank(Z)
-        assert set(np.unique(h)) <= {0.0, 1.0}
-        assert h.sum() == h.shape[0]
-        rank_s = np.linalg.matrix_rank(h @ pert.matrix)
+        # coordinate-selection operator, kept as sorted distinct state
+        # indices, with fewer rows than rank(Z)
+        assert h.dtype == np.intp and h.ndim == 1
+        assert np.all(np.diff(h) > 0) and 0 <= h[0] and h[-1] < inst.ensemble.state_dim
+        rank_s = np.linalg.matrix_rank(pert.matrix[h])
         assert rank_s < rank_z
 
 

@@ -232,6 +232,39 @@ def test_ensemble_routes_reject_a_mismatched_state_dimension(route):
         ROUTES[route](pert, obs)
 
 
+# the routes of an index operator, the factored judge's Woodbury matrix included
+INDEX_ROUTES = {
+    **ROUTES,
+    "factored": lambda pert, obs: compare_factored(pert.matrix, pert, obs),
+}
+INDEX_MESSAGES = {
+    "direct": "^observation operator inconsistent with forecast covariance$",
+    "reduced": "^observation operator inconsistent with perturbations$",
+    "woodbury": "^observation operator inconsistent with perturbations$",
+    "factored": "^observation operator inconsistent with perturbations$",
+}
+
+
+@pytest.mark.parametrize("route", sorted(INDEX_ROUTES))
+def test_routes_reject_an_index_past_the_state(route):
+    pert = perturbation_matrix(ForecastEnsemble.from_members(np.random.default_rng(0).standard_normal((3, 5))))
+    obs = ObservationModel(operator=[0, 3], covariance=[1.0, 1.0], observation=np.zeros(2))
+    with pytest.raises(ValueError, match=INDEX_MESSAGES[route]):
+        INDEX_ROUTES[route](pert, obs)
+
+
+@pytest.mark.parametrize("route", sorted(INDEX_ROUTES))
+def test_routes_expand_an_index_to_its_one_hot_rows(route):
+    # repeated and unsorted indices, p = 0 included
+    pert = perturbation_matrix(ForecastEnsemble.from_members(np.random.default_rng(1).standard_normal((5, 4))))
+    for index in ([3, 0, 3, 1], []):
+        index = np.array(index, dtype=int)
+        variances, y = np.arange(1.0, index.size + 1), np.zeros(index.size)
+        expected = INDEX_ROUTES[route](pert, ObservationModel(np.eye(5)[index], variances, y))
+        got = INDEX_ROUTES[route](pert, ObservationModel(index, variances, y))
+        assert got == expected if route == "factored" else np.array_equal(got, expected)
+
+
 @pytest.mark.parametrize("covariance", [np.zeros((0, 0)), np.zeros(0)], ids=["dense", "vector"])
 def test_routes_without_observations_return_the_forecast(covariance):
     pert = perturbation_matrix(ForecastEnsemble.from_members(np.random.default_rng(0).standard_normal((3, 5))))

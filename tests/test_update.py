@@ -354,6 +354,78 @@ def test_analyze_peak_memory(n, m, p):
         np.testing.assert_array_equal(res.covariance, res.covariance.T)
 
 
+def _one_hot(obs, n):
+    """The model with its state indices expanded to the dense one-hot ``H``."""
+    return ObservationModel(np.eye(n)[obs.operator], obs.covariance, obs.observation)
+
+
+def _assert_same_bits(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_index_operator_gives_the_bits_of_the_one_hot_product():
+    # the gather x[idx] and the product with one-hot rows give the same
+    # bits in H Z and H x_f, so the analysis does too
+    for seed in range(2000):
+        inst = random_instance(seed, "partial_obs")
+        ens, obs = inst.ensemble, inst.observation
+        gathered, multiplied = analyze(ens, obs), analyze(ens, _one_hot(obs, ens.state_dim))
+        _assert_same_bits(gathered.mean, multiplied.mean)
+        _assert_same_bits(gathered.perturbations, multiplied.perturbations)
+
+
+def test_index_identity_gives_the_bits_of_the_identity_matrix():
+    n, m = 200, 40
+    rng = np.random.default_rng(0)
+    ens = ForecastEnsemble(rng.standard_normal((n, m)))
+    variances, y = rng.uniform(0.5, 2.0, n), rng.standard_normal(n)
+    gathered = analyze(ens, ObservationModel(np.arange(n), variances, y))
+    multiplied = analyze(ens, ObservationModel(np.eye(n), variances, y))
+    _assert_same_bits(gathered.mean, multiplied.mean)
+    _assert_same_bits(gathered.perturbations, multiplied.perturbations)
+
+
+def test_repeated_unsorted_indices_match_their_one_hot_rows():
+    rng = np.random.default_rng(1)
+    ens = ForecastEnsemble(rng.standard_normal((6, 5)))
+    obs = ObservationModel([4, 1, 4, 0], rng.uniform(0.5, 2.0, 4), rng.standard_normal(4))
+    gathered, multiplied = analyze(ens, obs), analyze(ens, _one_hot(obs, 6))
+    _assert_same_bits(gathered.mean, multiplied.mean)
+    _assert_same_bits(gathered.perturbations, multiplied.perturbations)
+
+
+def test_index_operator_without_observations_returns_the_forecast():
+    ens = ForecastEnsemble(np.random.default_rng(2).standard_normal((4, 3)))
+    gathered = analyze(ens, ObservationModel(np.arange(0), np.zeros(0), []))
+    multiplied = analyze(ens, ObservationModel(np.zeros((0, 4)), np.zeros(0), []))
+    assert np.array_equal(gathered.mean, ens.mean)
+    _assert_same_bits(gathered.perturbations, multiplied.perturbations)
+
+
+def test_analyze_rejects_an_index_past_the_state():
+    ens = ForecastEnsemble(np.random.default_rng(3).standard_normal((4, 3)))
+    obs = ObservationModel([1, 4], [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="^observation operator index 4 out of range for state dimension 4$"):
+        analyze(ens, obs)
+
+
+def test_index_operator_peak_memory():
+    # building the model and analysing hold no p x n array: the peak stays
+    # below one dense float64 H of 160 MB (and below a few (n + p) x m arrays)
+    n, m, p = 20000, 40, 1000
+    rng = np.random.default_rng(4)
+    ens = ForecastEnsemble(rng.standard_normal((n, m)))
+    index, variances, y = rng.choice(n, p, replace=False), rng.uniform(0.5, 2.0, p), rng.standard_normal(p)
+    tracemalloc.start()
+    try:
+        analyze(ens, ObservationModel(index, variances, y))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < p * n * 8, peak
+    assert peak < 8 * (n + p) * m * 8, peak
+
+
 def test_analyze_covariance_formed_on_read():
     inst = random_instance(5, "generic")
     res = analyze(inst.ensemble, inst.observation)
@@ -496,7 +568,9 @@ def test_analyze_mean_matches_gain_form(category):
     for seed in range(100):
         inst = random_instance(seed, category)
         ens, obs = inst.ensemble, inst.observation
-        increment = kalman_gain(ens, obs) @ (obs.observation - obs.operator @ ens.mean)
+        # partial_obs keeps H as state indices: expand them to one-hot rows
+        h = obs.operator if obs.operator.ndim == 2 else np.eye(ens.state_dim)[obs.operator]
+        increment = kalman_gain(ens, obs) @ (obs.observation - h @ ens.mean)
         expected = ens.mean + increment
         err = np.linalg.norm(analyze(ens, obs).mean - expected)
         worst = max(worst, err / max(np.linalg.norm(expected), 1e-300))
