@@ -226,9 +226,12 @@ def compare_factored(za, pert: PerturbationMatrix, obs: ObservationModel) -> Com
     n, m = z.shape
     stacked = np.empty((n, 2 * m), order="F")
     stacked[:, :m], stacked[:, m:] = a, z
-    # max|[Za | Z]| in [2**(e-1), 2**e); 2**-e is applied by ldexp, since as
-    # a float it overflows for a subnormal maximum
-    _, exponent = np.frexp(np.maximum.reduce(np.abs(stacked), axis=None, initial=0.0))
+    # max|[Za | Z]| in [2**(e-1), 2**e), taken from the extremes so no second
+    # (n, 2m) array is formed; 2**-e is applied by ldexp, since as a float it
+    # overflows for a subnormal maximum
+    high = np.maximum.reduce(stacked, axis=None, initial=0.0)
+    low = np.minimum.reduce(stacked, axis=None, initial=0.0)
+    _, exponent = np.frexp(max(high, -low))
     np.ldexp(stacked, -exponent, out=stacked)
     # info is nonzero only for an illegal argument
     factored, _, _, _ = _lapack().dgeqrf(stacked, lwork=_QR_WORK_PER_COLUMN * 2 * m, overwrite_a=1)

@@ -287,6 +287,32 @@ def test_assimilate_forms_no_state_by_state_array(tmp_path):
     assert peak < n * n * 8 / 4
 
 
+def test_assimilate_holds_its_arrays_and_one_block_of_text(tmp_path):
+    # the arrays and the analysis need about 12 MiB; holding the 10.5 MiB
+    # text of the H file, or the members as Python floats, passes 16 MiB
+    n, m, p = 5000, 40, 100
+    rng = np.random.default_rng(1)
+    argv = ["assimilate"]
+    for flag, matrix in [
+        ("--ensemble", rng.standard_normal((n, m))),
+        ("--H", rng.standard_normal((p, n)) / np.sqrt(n)),
+        ("--R", rng.uniform(0.5, 2.0, (p, 1))),
+        ("--y", rng.standard_normal((p, 1))),
+    ]:
+        path = tmp_path / f"{flag.strip('-')}.csv"
+        write_matrix(path, matrix)
+        argv += [flag, str(path)]
+    argv += ["--out-prefix", str(tmp_path / "big")]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
+
+
 def test_assimilate_identical_members(tmp_path):
     # identical members: zero spread, so the analysis leaves one member
     # repeated, at the members' average
