@@ -12,9 +12,11 @@ comment lines, so a ``#`` line is an error like any other unparsable row.
 Only a refused file is read again, whole, to name its first bad row: errors
 cite the 1-based line of the file, counting the skipped lines, and name the
 row's first cell that is blank or that the reader refuses on its own.
-Outputs are written :data:`_WRITE_BLOCK_ROWS` rows at a time. So reading
-holds the array, which numpy's reader grows as rows arrive, plus one row, and
-writing holds the array plus one block of text.
+A file the text codec refuses is named with the offset of its first bad
+byte. Outputs are written in blocks of about
+:data:`_WRITE_BLOCK_VALUES` values (256 rows of 40, never less than one
+row). So reading holds the array, which numpy's reader grows as rows
+arrive, plus one row, and writing holds the array plus one block of text.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-# Rows formatted per write. Blocks of 16 to 1024 rows write a (500, 40)
-# matrix equally fast, one row at a time is about 6% slower, and 256 rows of
-# 40 values are 0.6 MiB of text
-_WRITE_BLOCK_ROWS = 256
+# Values formatted per write, as whole rows. Blocks of 16 to 1024 rows write
+# a (500, 40) matrix equally fast, one row at a time is about 6% slower, and
+# 256 rows of 40 values are 0.6 MiB of text
+_WRITE_BLOCK_VALUES = 10240
 
 
 class MatrixFileError(ValueError):
@@ -37,9 +39,10 @@ class MatrixFileError(ValueError):
 def write_matrix(path, matrix) -> None:
     arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     row_format = ",".join(["%.17g"] * arr.shape[1]) + "\n"
+    rows = max(1, _WRITE_BLOCK_VALUES // max(1, arr.shape[1]))
     with open(path, "w") as handle:
-        for start in range(0, arr.shape[0], _WRITE_BLOCK_ROWS):
-            block = arr[start : start + _WRITE_BLOCK_ROWS]
+        for start in range(0, arr.shape[0], rows):
+            block = arr[start : start + rows]
             handle.write((row_format * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
@@ -70,9 +73,18 @@ def _rows(lines):
 
 
 def _row_error(path: Path) -> MatrixFileError:
-    """Read ``path`` again, whole, for the error of the first line the reader refuses."""
+    """Read ``path`` again, whole, for the error of the first line the reader refuses.
+
+    A file the codec refuses is named by the offset of its first bad byte.
+    """
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        # the whole file is decoded at once, so exc.start is its byte offset
+        byte = exc.object[exc.start]
+        return MatrixFileError(f"{path}: byte {byte:#04x} at offset {exc.start} is not {exc.encoding} text")
     width: int | None = None
-    for index, line in enumerate(path.read_text().splitlines(), start=1):
+    for index, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
@@ -96,7 +108,7 @@ def _load(path: Path) -> np.ndarray | None:
             first = next(rows, None)
             return None if first is None else _parse(chain([first], rows))
     except ValueError:
-        # a refused row, or bytes the codec refuses, which the re-read raises
+        # a refused row, or bytes the codec refuses
         raise _row_error(path) from None
 
 

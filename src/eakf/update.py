@@ -39,6 +39,24 @@ from the row-major ``Za`` the result stores. So
 of which ``Z`` takes one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and
 ``O((n + p) m)`` memory.
 
+The factorization of ``Z`` and the projection ``Y`` with ``H x_f`` depend
+on ``Z`` alone, not on each other. For a matrix ``H`` with ``p n m`` at
+least :data:`_OVERLAP_MIN_WORK` (``2**22``), in a process that may run on
+more than one CPU, the projection runs on one persistent worker thread
+while the caller's thread runs :func:`eakf.linalg.svd_full`; numpy
+releases the GIL in the BLAS and LAPACK calls, so the two proceed in
+parallel. In every other case (state indices, a smaller problem, one CPU)
+the same calls run one after the other on the caller's thread. The worker
+returns ``H x_f`` unwhitened, and the caller whitens the innovation after
+the join, so each analysis whitens as often on either path. Both paths make
+the same calls on the same arrays, and a BLAS or LAPACK kernel gives the
+same bits on whichever thread calls it, so the paths give the same bits.
+An error is raised in the serial order: ``svd_full``'s first, else the
+projection's, unchanged. The worker runs only private functions and
+:class:`ObservationModel` methods, in the caller's context (its
+``np.errstate``). It is started on first use; a forked child drops its
+parent's worker and starts its own.
+
 Two implementation details decide whether this is exact or silently wrong:
 
 * ``pinv(sig)`` must be the Moore-Penrose pseudoinverse of the *rectangular*
@@ -56,6 +74,9 @@ Two implementation details decide whether this is exact or silently wrong:
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +85,17 @@ import numpy as np
 from ._arrays import _all_finite, _as_float64, center_rows, require_centered
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
 from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, svd_full
+
+# Smallest p * n * m (the multiply-adds of H Z) for which a matrix H is
+# applied on the worker thread while Z is factored. Measured with one BLAS
+# thread on a 2-CPU machine at m = 40, the overlap was 4-6% slower at
+# p n m = 2.0e6 and 2.5e6 with n = 500 and 5% faster at 2.4e6 with
+# n = 1000, 0-6% faster at 4e6 and 8-19% faster from 6e6 to 2e7: the
+# thread hand-off only pays when H Z is large.
+_OVERLAP_MIN_WORK = 2**22
+
+_worker = None  # the ThreadPoolExecutor, made on first use
+_worker_lock = threading.Lock()
 
 
 @dataclass(frozen=True, init=False)
@@ -137,7 +169,54 @@ def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.
     is formed. ``H Z`` is :meth:`ObservationModel.apply`: a row gather for
     state indices, a product for a matrix.
     """
-    return obs.whiten(obs.apply(pert.matrix))
+    return _observed(pert.matrix, None, obs)[0]
+
+
+def _observed(z: np.ndarray, mean: np.ndarray | None, obs: ObservationModel):
+    """``Y = inv(L) H Z`` and the unwhitened ``H x_f`` (None without a mean).
+
+    It runs on the worker thread, so it calls :class:`ObservationModel`
+    methods and no public function of the package: ``bench/tracer.py`` keeps
+    one span stack for all threads.
+    """
+    return obs.whiten(obs.apply(z)), None if mean is None else obs.apply(mean)
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _overlaps(z: np.ndarray, obs: ObservationModel) -> bool:
+    """Whether ``H`` is applied on the worker while ``Z`` is factored."""
+    op = obs.operator
+    # the size test comes first, so a small analysis makes no system call
+    return op.ndim == 2 and op.size * z.shape[1] >= _OVERLAP_MIN_WORK and _cpus() > 1
+
+
+def _executor():
+    """The one worker thread, started on first use."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eakf-projection")
+        return _worker
+
+
+def _forget_executor() -> None:
+    # A forked child has only the thread that forked: the parent's worker,
+    # and a lock another thread may have held, do not carry over.
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_executor)
 
 
 def _gain_weights(g: np.ndarray) -> np.ndarray:
@@ -145,16 +224,32 @@ def _gain_weights(g: np.ndarray) -> np.ndarray:
     return np.sqrt(g) / (1.0 + g)
 
 
-def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
-    """The factors every analysis reads: ``(pert, svd, eig)``.
+def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel, with_mean: bool = True):
+    """The factors every analysis reads: ``(pert, svd, eig, hx)``.
 
     ``pert`` holds the one ``Z`` of the analysis, ``svd`` is its
-    :func:`eakf.linalg.svd_full` and ``eig`` the :func:`eakf.linalg.ordered_eig_psd`
-    result for ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T``.
+    :func:`eakf.linalg.svd_full`, ``eig`` the :func:`eakf.linalg.ordered_eig_psd`
+    result for ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T`` and ``hx`` the
+    unwhitened ``H x_f`` (None when ``with_mean`` is false). ``Y`` and ``hx``
+    are made on the worker thread while ``svd_full`` runs when
+    :func:`_overlaps` says so, else after it; the calls are the same either way.
     """
     pert = perturbation_matrix(ens)
-    svd = svd_full(pert.matrix)
-    return pert, svd, ordered_eig_psd(project_observations(pert, obs), svd)
+    z, mean = pert.matrix, ens.mean if with_mean else None
+    if not _overlaps(z, obs):
+        svd = svd_full(z)
+        y, hx = _observed(z, mean, obs)
+    else:
+        # in the caller's context, so that its np.errstate holds on the worker
+        future = _executor().submit(contextvars.copy_context().run, _observed, z, mean, obs)
+        try:
+            svd = svd_full(z)
+        except BaseException:
+            # the serial order raises svd_full's error; the worker's is dropped
+            future.exception()
+            raise
+        y, hx = future.result()
+    return pert, svd, ordered_eig_psd(y, svd), hx
 
 
 def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
@@ -164,7 +259,7 @@ def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
     ``(p, k)`` right-hand sides (a triangular solve, or a row scale for a
     diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it.
     """
-    pert, _, eig = _analysis_factors(ens, obs)
+    pert, _, eig, _ = _analysis_factors(ens, obs, with_mean=False)
     k = eig.obs_vectors.shape[1]
     # (U_W D).T inv(L) = (inv(L).T U_W D).T
     whitened = obs.whiten(eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
@@ -203,9 +298,9 @@ def _transformed(ens: ForecastEnsemble, obs: ObservationModel, factors, transfor
     ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
     the innovation and an ``m``-vector of weights.
     """
-    pert, svd, eig = factors
+    pert, svd, eig, hx = factors
     k = eig.obs_vectors.shape[1]
-    innovation = obs.whiten(obs.observation - obs.apply(ens.mean))
+    innovation = obs.whiten(obs.observation - hx)
     weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
     mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
     za = pert.matrix @ transform(svd, eig)

@@ -193,6 +193,17 @@ def test_assimilate_ragged_csv(tmp_path, capsys, name, text):
     assert f"{name}: row 2" in err
 
 
+def test_assimilate_undecodable_csv(tmp_path, capsys):
+    files = write_scalar_inputs(tmp_path)
+    (tmp_path / "E.csv").write_bytes(b"1,2\n\xff,3\n")
+    argv = ["assimilate"]
+    for flag, value in files.items():
+        argv += [flag, value]
+    argv += ["--out-prefix", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'E.csv'}: byte 0xff at offset 4 is not ")
+
+
 def test_assimilate_shape_mismatch(tmp_path, capsys):
     files = write_scalar_inputs(tmp_path)
     (tmp_path / "H.csv").write_text("1,0\n")

@@ -111,6 +111,14 @@ def test_vector_requires_single_column(tmp_path):
         read_vector(path)
 
 
+@pytest.mark.parametrize("prefix", [b"1,2\n", b"1,2\n" * 5000], ids=["second-row", "past-a-read-chunk"])
+def test_undecodable_bytes_name_the_file_and_offset(tmp_path, prefix):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(prefix + b"\xff,3\n")
+    with pytest.raises(MatrixFileError, match=f"^{re.escape(str(path))}: byte 0xff at offset {len(prefix)} is not "):
+        read_matrix(path)
+
+
 def test_non_finite_rejected(tmp_path):
     path = tmp_path / "inf.csv"
     path.write_text("1,inf\n")
@@ -127,17 +135,23 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
+def block_rows(columns: int) -> int:
+    """Rows per written block: whole rows of about ``_WRITE_BLOCK_VALUES`` values."""
+    return max(1, matio._WRITE_BLOCK_VALUES // columns)
+
+
 @pytest.mark.parametrize(
     "shape",
     [
-        (matio._WRITE_BLOCK_ROWS - 1, 3),
-        (matio._WRITE_BLOCK_ROWS, 3),
-        (matio._WRITE_BLOCK_ROWS + 1, 3),
-        (2 * matio._WRITE_BLOCK_ROWS + 5, 1),
+        (block_rows(3) - 1, 3),
+        (block_rows(3), 3),
+        (block_rows(3) + 1, 3),
+        (2 * block_rows(1) + 5, 1),
         (1, 9),
         (0, 3),
+        (3, matio._WRITE_BLOCK_VALUES + 1),
     ],
-    ids=["block-1", "block", "block+1", "n-by-1", "1-by-m", "no-rows"],
+    ids=["block-1", "block", "block+1", "n-by-1", "1-by-m", "no-rows", "wider-than-a-block"],
 )
 def test_written_blocks_match_savetxt(tmp_path, shape):
     mat = np.random.default_rng(2).standard_normal(shape) * np.logspace(-300, 300, shape[1])
@@ -149,6 +163,13 @@ def test_write_holds_one_block_of_text(tmp_path):
     # the matrix as Python floats alone would be 18 MiB; a block of 256 rows
     # of text is 0.6 MiB
     mat = np.random.default_rng(3).standard_normal((20000, 40))
+    assert traced_peak(lambda: write_matrix(tmp_path / "m.csv", mat)) < 2 * 2**20
+
+
+def test_wide_write_holds_one_row_of_text(tmp_path):
+    # blocks of 256 rows would format this 3 MiB matrix whole (23 MiB);
+    # one row of 20000 values is 0.5 MiB of text
+    mat = np.random.default_rng(3).standard_normal((20, 20000))
     assert traced_peak(lambda: write_matrix(tmp_path / "m.csv", mat)) < 2 * 2**20
 
 
