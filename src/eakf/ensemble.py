@@ -110,10 +110,11 @@ class ObservationModel:
       layout; or
     * a 1-D integer array of ``p`` state indices, for an operator that
       selects state entries: ``H x`` is ``x[operator]``. Indices may repeat
-      (one variable observed twice) and come in any order; a negative index
-      or a boolean mask is refused, and a 1-D float array is refused as a
-      matrix that is not 2-D. The index form stores no ``(p, n)`` array, and
-      applying it costs ``O(p m)`` instead of ``O(p n m)``.
+      (one variable observed twice) and come in any order; a negative index,
+      an index above ``np.intp``'s range and a boolean mask are refused, and
+      a 1-D float array is refused as a matrix that is not 2-D. The index
+      form stores no ``(p, n)`` array, and applying it costs ``O(p m)``
+      instead of ``O(p n m)``.
 
     An index does not fix ``n``, so the state dimension is checked where
     ``H`` is applied, against the array it is applied to. A general linear
@@ -212,11 +213,15 @@ def _operator(operator) -> np.ndarray:
         if index.dtype == np.bool_:
             raise ValueError(f"{name}: a boolean mask is not accepted; pass the state indices it selects")
         if index.dtype.kind in "iu":
-            index = np.ascontiguousarray(index, dtype=np.intp)
-            # the ufunc reduction, without ndarray.min's wrapper
+            # checked as given, as the cast to intp wraps; ufunc reductions, without ndarray's wrappers
             if index.size and np.minimum.reduce(index) < 0:
                 raise ValueError(f"{name}: state index {np.minimum.reduce(index)} is negative")
-            return index
+            if index.size and not np.can_cast(index.dtype, np.intp):
+                # such a dtype (uint64) holds intp's maximum exactly: compare in it
+                high, largest = np.maximum.reduce(index), index.dtype.type(np.iinfo(np.intp).max)
+                if high > largest:
+                    raise ValueError(f"{name}: state index {high} exceeds the largest index {largest}")
+            return np.ascontiguousarray(index, dtype=np.intp)
     return np.ascontiguousarray(require_matrix(operator, name))
 
 

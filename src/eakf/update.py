@@ -41,12 +41,14 @@ of which ``Z`` takes one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and
 
 The factorization of ``Z`` and the projection ``Y`` with ``H x_f`` depend
 on ``Z`` alone, not on each other. For a matrix ``H`` with ``p n m`` at
-least :data:`_OVERLAP_MIN_WORK` (``2**22``), in a process that may run on
-more than one CPU, the projection runs on one persistent worker thread
-while the caller's thread runs :func:`eakf.linalg.svd_full`; numpy
-releases the GIL in the BLAS and LAPACK calls, so the two proceed in
-parallel. In every other case (state indices, a smaller problem, one CPU)
-the same calls run one after the other on the caller's thread. The worker
+least :data:`_OVERLAP_MIN_WORK` (``2**22``) the projection runs on one
+persistent worker thread while the caller's thread runs
+:func:`eakf.linalg.svd_full`; numpy releases the GIL in the BLAS and LAPACK
+calls, so the two proceed in parallel. Otherwise (state indices, a smaller
+problem) the same calls run one after the other on the caller's thread.
+The choice assumes one BLAS thread, so that a second CPU is free, as in the
+benchmark; at ``(1000, 40, 250)`` the overlap took 2-3% longer than the
+serial path on one CPU, and 1-5% with OpenBLAS's own threads on two. The worker
 returns ``H x_f`` unwhitened, and the caller whitens the innovation after
 the join, so each analysis whitens as often on either path. Both paths make
 the same calls on the same arrays, and a BLAS or LAPACK kernel gives the
@@ -169,32 +171,23 @@ def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.
     is formed. ``H Z`` is :meth:`ObservationModel.apply`: a row gather for
     state indices, a product for a matrix.
     """
-    return _observed(pert.matrix, None, obs)[0]
+    return obs.whiten(obs.apply(pert.matrix))
 
 
-def _observed(z: np.ndarray, mean: np.ndarray | None, obs: ObservationModel):
-    """``Y = inv(L) H Z`` and the unwhitened ``H x_f`` (None without a mean).
+def _observed(z: np.ndarray, mean: np.ndarray, obs: ObservationModel):
+    """``Y = inv(L) H Z`` and the unwhitened ``H x_f``.
 
     It runs on the worker thread, so it calls :class:`ObservationModel`
     methods and no public function of the package: ``bench/tracer.py`` keeps
     one span stack for all threads.
     """
-    return obs.whiten(obs.apply(z)), None if mean is None else obs.apply(mean)
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+    return obs.whiten(obs.apply(z)), obs.apply(mean)
 
 
 def _overlaps(z: np.ndarray, obs: ObservationModel) -> bool:
     """Whether ``H`` is applied on the worker while ``Z`` is factored."""
     op = obs.operator
-    # the size test comes first, so a small analysis makes no system call
-    return op.ndim == 2 and op.size * z.shape[1] >= _OVERLAP_MIN_WORK and _cpus() > 1
+    return op.ndim == 2 and op.size * z.shape[1] >= _OVERLAP_MIN_WORK
 
 
 def _executor():
@@ -224,24 +217,24 @@ def _gain_weights(g: np.ndarray) -> np.ndarray:
     return np.sqrt(g) / (1.0 + g)
 
 
-def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel, with_mean: bool = True):
+def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
     """The factors every analysis reads: ``(pert, svd, eig, hx)``.
 
     ``pert`` holds the one ``Z`` of the analysis, ``svd`` is its
     :func:`eakf.linalg.svd_full`, ``eig`` the :func:`eakf.linalg.ordered_eig_psd`
     result for ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T`` and ``hx`` the
-    unwhitened ``H x_f`` (None when ``with_mean`` is false). ``Y`` and ``hx``
-    are made on the worker thread while ``svd_full`` runs when
-    :func:`_overlaps` says so, else after it; the calls are the same either way.
+    unwhitened ``H x_f``. ``Y`` and ``hx`` are made on the worker thread
+    while ``svd_full`` runs when :func:`_overlaps` says so, else after it;
+    the calls are the same either way.
     """
     pert = perturbation_matrix(ens)
-    z, mean = pert.matrix, ens.mean if with_mean else None
+    z = pert.matrix
     if not _overlaps(z, obs):
         svd = svd_full(z)
-        y, hx = _observed(z, mean, obs)
+        y, hx = _observed(z, ens.mean, obs)
     else:
         # in the caller's context, so that its np.errstate holds on the worker
-        future = _executor().submit(contextvars.copy_context().run, _observed, z, mean, obs)
+        future = _executor().submit(contextvars.copy_context().run, _observed, z, ens.mean, obs)
         try:
             svd = svd_full(z)
         except BaseException:
@@ -257,9 +250,10 @@ def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
 
     ``K = Z C[:, :k] diag(s / (1 + s**2)) U_W.T inv(L)``: one whitening of
     ``(p, k)`` right-hand sides (a triangular solve, or a row scale for a
-    diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it.
+    diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it;
+    its factors are :func:`analyze`'s, ``H x_f`` formed and dropped.
     """
-    pert, _, eig, _ = _analysis_factors(ens, obs, with_mean=False)
+    pert, _, eig, _ = _analysis_factors(ens, obs)
     k = eig.obs_vectors.shape[1]
     # (U_W D).T inv(L) = (inv(L).T U_W D).T
     whitened = obs.whiten(eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")

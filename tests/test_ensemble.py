@@ -390,6 +390,15 @@ def test_index_operator_refuses_a_negative_index():
         ObservationModel(operator=[0, -1], covariance=[1.0, 1.0], observation=np.zeros(2))
 
 
+@pytest.mark.parametrize("index", [[2**63], [2**63 + 5, 0]], ids=["alone", "with-zero"])
+def test_index_operator_names_an_unsigned_index_above_the_range_as_given(index):
+    # the cast to intp would wrap it to a negative index
+    operator = np.array(index, dtype=np.uint64)
+    message = f"^observation operator: state index {max(index)} exceeds the largest index {2**63 - 1}$"
+    with pytest.raises(ValueError, match=message):
+        ObservationModel(operator=operator, covariance=np.ones(len(index)), observation=np.zeros(len(index)))
+
+
 def test_index_operator_refuses_a_boolean_mask():
     message = "^observation operator: a boolean mask is not accepted; pass the state indices it selects$"
     with pytest.raises(ValueError, match=message):

@@ -1,12 +1,14 @@
 """The projection ``inv(L) H Z`` on the worker thread while ``Z`` is factored.
 
-Every test that needs the overlapped path forces it (:func:`forced`): the
-size threshold is set to 0 and the CPU count to 2, so the tests also run,
-and must pass, in a process bound to one CPU (``taskset -c 0``).
+Every test that needs the overlapped path forces it (:func:`forced`) by
+setting the size threshold to 0. The choice reads the problem alone, so a
+process bound to one CPU (``taskset -c 0``) overlaps as well, and every test
+must pass there too.
 """
 
 import concurrent.futures
 import multiprocessing
+import os
 import subprocess
 import sys
 import threading
@@ -26,7 +28,6 @@ SERIAL, OVERLAPPED = "serial", "overlapped"
 def forced(monkeypatch, path):
     """Make every analysis with a matrix ``H`` take ``path``; return the threads ``H`` ran on."""
     monkeypatch.setattr(eakf.update, "_OVERLAP_MIN_WORK", 0 if path == OVERLAPPED else 2**62)
-    monkeypatch.setattr(eakf.update, "_cpus", lambda: 2)
     threads, observed = [], eakf.update._observed
 
     def recorded(*args):
@@ -88,7 +89,7 @@ def test_both_paths_give_the_same_bits(monkeypatch):
 
 @pytest.mark.parametrize("n, m, p", [(1000, 40, 250), (2000, 40, 500)])
 def test_the_threshold_path_gives_the_serial_bits(monkeypatch, n, m, p):
-    # the default threshold overlaps these sizes when two CPUs may be used
+    # the default threshold overlaps these sizes
     ens, obs = dense_problem(n, m, p)
     default = eakf.update._OVERLAP_MIN_WORK
     forced(monkeypatch, SERIAL)
@@ -157,31 +158,32 @@ def test_the_callers_errstate_holds_on_the_worker(monkeypatch, path):
         analyze(ens, obs)
 
 
-def test_one_cpu_runs_the_serial_path(monkeypatch):
-    forced(monkeypatch, OVERLAPPED)
-    monkeypatch.setattr(eakf.update, "_cpus", lambda: 1)
+ONE_CPU = """
+import os
+import numpy as np
+import eakf.update
+from eakf.ensemble import ForecastEnsemble, ObservationModel
 
-    def refused():
-        raise AssertionError("the worker was asked for on one CPU")
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+assert len(os.sched_getaffinity(0)) == 1
+rng = np.random.default_rng(0)
+n, m, p = 1000, 40, 250
+ens = ForecastEnsemble(rng.standard_normal((n, m)))
+obs = ObservationModel(rng.standard_normal((p, n)) / np.sqrt(n), rng.uniform(0.5, 2.0, p), rng.standard_normal(p))
+overlapped = eakf.update.analyze(ens, obs)
+assert eakf.update._worker is not None, "no worker on one CPU"
+eakf.update._OVERLAP_MIN_WORK = 2**62
+serial = eakf.update.analyze(ens, obs)
+for a, b in [(overlapped.mean, serial.mean), (overlapped.perturbations, serial.perturbations)]:
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+"""
 
-    monkeypatch.setattr(eakf.update, "_executor", refused)
-    analyze(*dense_problem(30, 8, 12))
 
-
-def index_problem(n, m, p):
-    ens, obs = dense_problem(n, m, p)
-    return ens, ObservationModel(np.arange(p), obs.covariance, obs.observation)
-
-
-@pytest.mark.parametrize("make", [lambda: dense_problem(500, 40, 100), lambda: index_problem(5000, 40, 500)],
-                         ids=["small-matrix", "large-indices"])
-def test_the_cpu_count_is_read_only_above_the_size(monkeypatch, make):
-    def refused():
-        raise AssertionError("the CPU count was read")
-
-    ens, obs = make()
-    monkeypatch.setattr(eakf.update, "_cpus", refused)
-    analyze(ens, obs)
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform")
+def test_one_cpu_overlaps_with_the_serial_bits():
+    # the choice reads the problem alone: a process bound to one CPU uses the worker
+    proc = subprocess.run([sys.executable, "-c", ONE_CPU], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_the_worker_runs_no_traced_public_function(monkeypatch):

@@ -100,3 +100,41 @@ def test_fully_observed_spread_far_above_observation_error(spread):
     members = np.random.default_rng(0).standard_normal((4, 6)) * spread
     obs = ObservationModel(operator=np.eye(4), covariance=np.eye(4), observation=np.ones(4))
     assert_exact(ForecastEnsemble(members), obs)
+
+
+# The null-space guard of ordered_eig_psd (||Y B_null|| <= 1e-8 ||Y||) compares
+# two rounding residues when H annihilates range(Z), and refuses valid input
+NULL_GUARD_REFUSES = pytest.mark.xfail(
+    raises=ValueError, strict=True, reason="the null-space guard refuses an H that annihilates range(Z)"
+)
+
+
+@NULL_GUARD_REFUSES
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("seed", range(3))
+def test_observed_total_that_every_member_conserves(n, seed):
+    # every member sums to 10, so H = [1 ... 1] sees no spread: the
+    # posterior is the forecast, and nothing about it is ill posed
+    members = np.random.default_rng(seed).standard_normal((n, 6))
+    members[-1] = 10.0 - members[:-1].sum(axis=0)
+    obs = ObservationModel(operator=np.ones((1, n)), covariance=[0.5], observation=[10.2])
+    assert_exact(ForecastEnsemble(members), obs)
+
+
+def test_spread_below_the_rank_cut_seen_through_a_tiny_error():
+    # row 1 spreads 1e-17 against row 0's 1, below the rank cut, yet R = 1e-30
+    # makes it the best-observed direction. Dropping it misses the posterior
+    # (mean off by 6e-4), so the analysis must be exact or refuse.
+    rng = np.random.default_rng(3)
+    n, m = 6, 5
+    a, b = (row - row.mean() for row in (rng.standard_normal(m), rng.standard_normal(m)))
+    members = np.zeros((n, m))
+    members[0], members[1] = a, 1e-17 * b
+    members += rng.standard_normal((n, 1))
+    ens = ForecastEnsemble(members)
+    obs = ObservationModel(operator=np.eye(n)[1:2], covariance=[1e-30], observation=[0.0])
+    try:
+        analyze(ens, obs)
+    except ValueError:
+        return
+    assert_exact(ens, obs)
