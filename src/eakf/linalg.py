@@ -135,7 +135,9 @@ def svd_full(matrix) -> SvdFactors:
     factor ``R`` (``Z = Q R``, ``Q`` discarded), and ``R`` is decomposed:
     ``Z`` and ``R`` share their singular values and right factor, so no
     ``n``-row factor is formed (Chan's R-SVD). The QR costs ``O(n m^2)``
-    time for ``n >= m``, the SVD of ``R`` ``O(m^3)``.
+    time for ``n >= m``, the SVD of ``R`` ``O(m^3)``. The left factor
+    ``U_R`` of ``R`` is dropped here; ``eakf.update`` keeps it, through the
+    same private helper, when ``H`` observes each state variable once.
 
     Parameters
     ----------
@@ -155,16 +157,27 @@ def svd_full(matrix) -> SvdFactors:
     n, m = arr.shape
     if n == 0 or m == 0:
         raise ValueError("svd_full: empty matrix")
+    return _triangle_svd(np.linalg.qr(arr, mode="r"), n)[0]
+
+
+def _triangle_svd(triangle: np.ndarray, n: int) -> tuple[SvdFactors, np.ndarray]:
+    """The R-SVD of an ``(n, m)`` matrix ``Z = Q R`` from its triangle ``R = U_R Sig V.T``.
+
+    Returns the :class:`SvdFactors` of ``Z`` (``n`` sets the rank threshold)
+    and the leading ``rank`` columns of ``U_R``, each flipped with the pivot
+    sign of its column of ``V``, so that ``Z = (Q U_R) Sig V.T`` still holds
+    for the signed factors.
+    """
     # The triangle has at most m rows, so its full SVD gives the (m, m)
-    # right factor and a left factor of at most (m, m), which is dropped.
-    _, s, vt = np.linalg.svd(np.linalg.qr(arr, mode="r"))
-    threshold = RANK_TOL * float(s[0]) * max(n, m)
+    # right factor and a left factor of at most (m, m).
+    left, s, vt = np.linalg.svd(triangle)
+    threshold = RANK_TOL * float(s[0]) * max(n, triangle.shape[1])
     rank = int(np.count_nonzero(s > threshold))
 
     # vt is a fresh array: sign it in place instead of copying
     right = vt.T
-    _pivot_signs(right)
-    return SvdFactors(singular_values=s[:rank], right=right)
+    signs = _pivot_signs(right)
+    return SvdFactors(singular_values=s[:rank], right=right), left[:, :rank] * signs[:rank]
 
 
 def _pivot_signs(columns: np.ndarray) -> np.ndarray:

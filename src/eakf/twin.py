@@ -5,7 +5,10 @@ model noise of variance ``MODEL_NOISE_VAR``; the full state is observed at
 every step with independent Gaussian errors of variance ``OBS_NOISE_VAR``,
 through the selection operator ``np.arange(n)`` (``H = I`` given as state
 indices, so ``H Z`` is a row gather, not a product with an ``n x n``
-identity) and a vector of variances (so no cycle loads scipy).
+identity) and a vector of variances (so no cycle loads scipy). With every
+variable observed once and one variance, ``S = Z.T Z / OBS_NOISE_VAR``, so
+each analysis factors ``Z`` with one QR and one SVD and takes no SVD of
+``H Z`` (see :mod:`eakf.update`).
 The ensemble is propagated with the same dynamics plus independent
 per-member noise and analyzed with :func:`eakf.update.analyze`. What a run
 checks today is that the cycle stays well posed: every analysis passes the

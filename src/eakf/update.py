@@ -39,6 +39,12 @@ from the row-major ``Za`` the result stores. So
 of which ``Z`` takes one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and
 ``O((n + p) m)`` memory.
 
+When ``H`` observes each state variable exactly once, given as state
+indices, and ``R`` is one variance repeated, ``S = Z.T Z / sigma**2`` and
+the SVD of ``Z`` already is the ordered eigendecomposition:
+:func:`_permuted_factors` then takes no SVD of ``Y`` (every cycle of
+:mod:`eakf.twin`). Every other input takes the general path, bit for bit.
+
 The factorization of ``Z`` and the projection ``Y`` with ``H x_f`` depend
 on ``Z`` alone, not on each other. For a matrix ``H`` with ``p n m`` at
 least :data:`_OVERLAP_MIN_WORK` (``2**22``) the projection runs on one
@@ -86,7 +92,7 @@ import numpy as np
 
 from ._arrays import _all_finite, _as_float64, center_rows, require_centered
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
-from .linalg import OrderedEigen, SvdFactors, ordered_eig_psd, svd_full
+from .linalg import OrderedEigen, SvdFactors, _triangle_svd, ordered_eig_psd, svd_full
 
 # Smallest p * n * m (the multiply-adds of H Z) for which a matrix H is
 # applied on the worker thread while Z is factored. Measured with one BLAS
@@ -179,9 +185,47 @@ def _observed(z: np.ndarray, mean: np.ndarray, obs: ObservationModel):
 
     It runs on the worker thread, so it calls :class:`ObservationModel`
     methods and no public function of the package: ``bench/tracer.py`` keeps
-    one span stack for all threads.
+    one span stack for all threads. An ``H x_f`` that overflows is not
+    warned about: with no observed spread (``k = 0``) the mean never reads
+    it, and otherwise its ``inf`` makes the mean non-finite, which
+    :class:`AnalysisResult` refuses. An overflow in ``H Z`` still warns.
     """
-    return obs.whiten(obs.apply(z)), obs.apply(mean)
+    y = obs.whiten(obs.apply(z))
+    with np.errstate(over="ignore"):
+        return y, obs.apply(mean)
+
+
+def _permutes(obs: ObservationModel, n: int) -> bool:
+    """Whether ``H`` observes each of the ``n`` state variables once, as indices, with one variance.
+
+    That is, ``H`` is a permutation given as state indices and ``R`` a
+    vector holding one variance ``p = n`` times; ``O(n)``. A repeated or
+    out-of-range index, ``p != n``, unequal variances, a matrix ``H``, a
+    matrix ``R`` and an empty state (which keeps its error) all answer no.
+    """
+    op, cov = obs.operator, obs.covariance
+    if not n or op.ndim != 1 or op.size != n or cov.ndim != 1 or not np.logical_and.reduce(cov == cov[0]):
+        return False
+    # n counts of one use up all n indices, so none is left to fall past n - 1
+    return bool(np.logical_and.reduce(np.bincount(op, minlength=n) == 1))
+
+
+def _permuted_factors(z: np.ndarray, obs: ObservationModel) -> tuple[SvdFactors, OrderedEigen]:
+    """``svd`` and ``eig`` of ``Z`` for a permutation ``H = P`` and ``R = sigma**2 I``.
+
+    One QR ``Z = Q R_Z`` with ``Q`` formed and the SVD ``R_Z = U_R Sig V.T``
+    give both: ``Y = P Z / sigma = (P Q U_R) diag(Sig / sigma) V.T`` is
+    already an SVD of ``Y``, so ``C = V`` with the null space last by
+    construction, ``s = Sig_r / sigma`` and ``U_W = P Q U_R[:, :r]``
+    (``Q_W = I``). ``S = Z.T Z / sigma**2`` is never formed, and
+    :func:`eakf.linalg.ordered_eig_psd` is not needed: ``Y B_null`` is
+    ``Z``'s own residue below the rank cut, over ``sigma``.
+    """
+    q, triangle = np.linalg.qr(z)
+    svd, left = _triangle_svd(triangle, z.shape[0])
+    values = np.zeros(z.shape[1])
+    np.square(svd.singular_values / obs.cholesky[0], out=values[: svd.rank])
+    return svd, OrderedEigen(vectors=svd.right, values=values, obs_vectors=obs.apply(q @ left))
 
 
 def _overlaps(z: np.ndarray, obs: ObservationModel) -> bool:
@@ -225,10 +269,14 @@ def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
     result for ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T`` and ``hx`` the
     unwhitened ``H x_f``. ``Y`` and ``hx`` are made on the worker thread
     while ``svd_full`` runs when :func:`_overlaps` says so, else after it;
-    the calls are the same either way.
+    the calls are the same either way. When :func:`_permutes` says so,
+    ``svd`` and ``eig`` come instead from one QR and one SVD
+    (:func:`_permuted_factors`), and ``Y`` is never formed.
     """
     pert = perturbation_matrix(ens)
     z = pert.matrix
+    if _permutes(obs, z.shape[0]):
+        return (pert, *_permuted_factors(z, obs), obs.apply(ens.mean))
     if not _overlaps(z, obs):
         svd = svd_full(z)
         y, hx = _observed(z, ens.mean, obs)

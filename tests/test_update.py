@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -99,28 +100,53 @@ def ascending_order(pert):
     return svd_full(pert.matrix).rank, np.arange(pert.size)[::-1]
 
 
-@pytest.mark.parametrize(
-    "run, svds",
-    [
-        (lambda inst: analyze(inst.ensemble, inst.observation), 1),
-        (lambda inst: kalman_gain(inst.ensemble, inst.observation), 1),
-        (lambda inst: misordered_analysis(inst.ensemble, inst.observation), 1),
-        (lambda inst: run_pitfall_demo(0), 2),
-    ],
-    ids=["analyze", "kalman_gain", "misordered_analysis", "run_pitfall_demo"],
-)
-def test_each_analysis_factors_z_once(monkeypatch, run, svds):
-    # svd_full is the only caller of qr, so each call is one SVD of Z; the
-    # pitfall demo runs two instances both ways, one SVD per instance
-    calls, qr = [], np.linalg.qr
+def permuted(inst, variance=0.5):
+    """The instance's ensemble with every state variable observed once, as shuffled indices, with one variance."""
+    n = inst.ensemble.state_dim
+    rng = np.random.default_rng(inst.seed)
+    obs = ObservationModel(rng.permutation(n), np.full(n, variance), rng.standard_normal(n))
+    return inst.ensemble, obs
+
+
+def counted_calls(monkeypatch, owner, name):
+    """The list each call of ``owner.name`` appends its arguments to; the calls still run."""
+    calls, original = [], getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return qr(*args, **kwargs)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counted)
-    run(random_instance(0, "rank_deficient"))
-    assert len(calls) == svds
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run, svds, numpy_svds",
+    [
+        (lambda inst: analyze(inst.ensemble, inst.observation), 1, 2),
+        (lambda inst: kalman_gain(inst.ensemble, inst.observation), 1, 2),
+        (lambda inst: misordered_analysis(inst.ensemble, inst.observation), 1, 2),
+        (lambda inst: run_pitfall_demo(0), 2, 4),
+        (lambda inst: analyze(*permuted(inst)), 1, 1),
+        (lambda inst: kalman_gain(*permuted(inst)), 1, 1),
+        (lambda inst: misordered_analysis(*permuted(inst)), 1, 1),
+    ],
+    ids=[
+        "analyze", "kalman_gain", "misordered_analysis", "run_pitfall_demo",
+        "analyze-permutation", "kalman_gain-permutation", "misordered_analysis-permutation",
+    ],
+)
+def test_each_analysis_factors_z_once(monkeypatch, run, svds, numpy_svds):
+    # each analysis makes one QR of one Z; the pitfall demo runs two
+    # instances both ways, one Z and one QR per instance. The general path
+    # takes the SVD of the triangle and that of Y B; an H that observes each
+    # state variable once, with one variance, needs only the first
+    inst = random_instance(0, "rank_deficient")
+    zs = counted_calls(monkeypatch, PerturbationMatrix, "__post_init__")
+    qrs = counted_calls(monkeypatch, np.linalg, "qr")
+    numpy_svd_calls = counted_calls(monkeypatch, np.linalg, "svd")
+    run(inst)
+    assert (len(zs), len(qrs), len(numpy_svd_calls)) == (svds, svds, numpy_svds)
 
 
 @pytest.mark.parametrize(
@@ -197,6 +223,161 @@ def test_kalman_gain_zero_operator():
 def test_kalman_gain_three_members():
     ens, obs = three_member_case()
     np.testing.assert_allclose(kalman_gain(ens, obs), [[0.5], [-0.25]], atol=1e-15)
+
+
+def test_an_overflowing_forecast_observation_without_spread_is_not_warned_about():
+    # H x_f overflows, but with no spread neither the gain nor the mean reads it
+    ens = ForecastEnsemble(np.full((2, 3), 1e308))
+    obs = ObservationModel([[1.0, 1.0]], [1.0], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gain, result = kalman_gain(ens, obs), analyze(ens, obs)
+    np.testing.assert_array_equal(gain, np.zeros((2, 1)))
+    assert np.array_equal(result.mean, ens.mean) and not result.perturbations.any()
+
+
+def test_an_overflowing_forecast_observation_with_spread_fails_loudly():
+    # H x_f = 2e310 makes the innovation infinite; the observed spread makes
+    # the mean read it, so the analysis warns, and with the warning
+    # silenced it refuses the non-finite mean. The gain does not read it.
+    members = 1e160 + 1e150 * np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+    ens, obs = ForecastEnsemble(members), ObservationModel([[1e150, 1e150]], [1e300], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="invalid value"):
+            analyze(ens, obs)
+        assert np.isfinite(kalman_gain(ens, obs)).all()
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        analyze(ens, obs)
+
+
+@pytest.mark.parametrize("run", [analyze, kalman_gain], ids=["analyze", "kalman_gain"])
+def test_an_overflowing_observed_spread_still_warns(run):
+    ens = ForecastEnsemble(1e150 * np.array([[1.0, -1.0, 0.0], [1.0, -1.0, 0.0]]))
+    obs = ObservationModel([[1e160, 1e160]], [1.0], [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeWarning, match="overflow encountered in matmul"):
+            run(ens, obs)
+
+
+# --------------------------------- each state variable observed once, one variance
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _repeated_singular_values():
+    # orthogonal rows, two of equal norm: Z has a repeated singular value
+    return np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]]) + 3.0
+
+
+def _duplicated_member():
+    members = np.random.default_rng(7).standard_normal((5, 6))
+    members[:, 1] = members[:, 0]
+    return members
+
+
+# name: (members, index, variance, whether Z's singular values are distinct)
+PERMUTED_CASES = {
+    "arange": (np.random.default_rng(1).standard_normal((6, 8)), np.arange(6), 0.7, True),
+    "shuffled": (np.random.default_rng(2).standard_normal((7, 5)), np.random.default_rng(3).permutation(7), 3.0, True),
+    "twin-default": (np.random.default_rng(4).standard_normal((3, 12)), np.arange(3), 1.0, True),
+    "more-variables-than-members": (np.random.default_rng(5).standard_normal((40, 12)), np.random.default_rng(6).permutation(40), 1e-2, True),
+    "zero-spread": (np.repeat(np.random.default_rng(8).standard_normal((4, 1)), 5, axis=1), np.arange(4), 2.0, True),
+    "duplicated-member": (_duplicated_member(), np.arange(5)[::-1], 0.3, True),
+    "repeated-singular-values": (_repeated_singular_values(), np.array([2, 0, 1]), 1.5, False),
+}
+
+
+@pytest.mark.parametrize("case", PERMUTED_CASES, ids=list(PERMUTED_CASES))
+def test_permutation_matches_the_general_path(monkeypatch, case):
+    members, index, variance, distinct = PERMUTED_CASES[case]
+    n = members.shape[0]
+    ens, y = ForecastEnsemble(members), np.random.default_rng(9).standard_normal(n)
+    obs = ObservationModel(index, np.full(n, variance), y)
+    general = analyze(ens, _one_hot(obs, n))
+    general_gain = kalman_gain(ens, _one_hot(obs, n))
+    eigs = counted_calls(monkeypatch, eakf.update, "ordered_eig_psd")
+    result, gain = analyze(ens, obs), kalman_gain(ens, obs)
+    assert not eigs
+    if not np.any(general.perturbations):
+        assert not result.perturbations.any() and np.array_equal(result.mean, general.mean)
+        np.testing.assert_array_equal(gain, general_gain)
+        return
+    assert _rel(result.covariance, general.covariance) <= 1e-12
+    assert _rel(result.mean, general.mean) <= 1e-12
+    assert _rel(gain, general_gain) <= 1e-12
+    if distinct:
+        assert _rel(result.perturbations, general.perturbations) <= 1e-12
+    misordered, general_misordered = (misordered_analysis(ens, o) for o in (obs, _one_hot(obs, n)))
+    assert _rel(misordered.covariance, general_misordered.covariance) <= 1e-12
+
+
+INELIGIBLE = {
+    "unequal-variances": (np.arange(4), np.array([1.0, 1.0, 1.0, 1.0 + 2**-52])),
+    "fewer-observations": (np.arange(3), np.ones(3)),
+    "more-observations": (np.array([0, 1, 2, 3, 0]), np.ones(5)),
+    "repeated-index": (np.array([0, 1, 1, 3]), np.ones(4)),
+    "dense-one-hot-H": (np.eye(4)[[3, 1, 0, 2]], np.ones(4)),
+    "dense-R": (np.arange(4), np.eye(4)),
+}
+
+
+@pytest.mark.parametrize("case", INELIGIBLE, ids=list(INELIGIBLE))
+def test_other_observations_take_the_general_path(monkeypatch, case):
+    operator, covariance = INELIGIBLE[case]
+    ens = ForecastEnsemble(np.random.default_rng(10).standard_normal((4, 6)))
+    obs = ObservationModel(operator, covariance, np.zeros(len(covariance)))
+    eigs = counted_calls(monkeypatch, eakf.update, "ordered_eig_psd")
+    analyze(ens, obs)
+    kalman_gain(ens, obs)
+    assert len(eigs) == 2
+
+
+def test_an_index_past_the_state_keeps_its_error_when_p_equals_n():
+    ens = ForecastEnsemble(np.random.default_rng(11).standard_normal((4, 6)))
+    obs = ObservationModel([0, 1, 2, 4], np.ones(4), np.zeros(4))
+    for run in (analyze, kalman_gain):
+        with pytest.raises(ValueError, match="^observation operator index 4 out of range for state dimension 4$"):
+            run(ens, obs)
+
+
+def test_an_empty_state_keeps_its_error():
+    # no index, no variance: nothing to permute, and the general path refuses Z
+    ens = ForecastEnsemble(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="^svd_full: empty matrix$"):
+        analyze(ens, ObservationModel(np.arange(0), np.zeros(0), []))
+
+
+def test_permuted_analysis_does_not_depend_on_the_lapack_signs(monkeypatch):
+    # the QR of Z may come with any of its rows of R (and columns of Q)
+    # negated, and the SVD of R with any pair negated: Za must not change
+    members = [np.random.default_rng(seed).standard_normal((6, 5)) for seed in range(50)]
+    obs = ObservationModel(np.random.default_rng(12).permutation(6), np.full(6, 0.5), np.ones(6))
+    expected = [analyze(ForecastEnsemble(x), obs) for x in members]
+    svd, qr = np.linalg.svd, np.linalg.qr
+
+    def alternate_pairs_negated(a, full_matrices=True):
+        u, s, vt = svd(a, full_matrices=full_matrices)
+        u[:, : s.size : 2] *= -1.0
+        vt[: s.size : 2] *= -1.0
+        return u, s, vt
+
+    def alternate_rows_negated(a, mode="reduced"):
+        q, r = qr(a, mode=mode)
+        q[:, ::2] *= -1.0
+        r[::2] *= -1.0
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "svd", alternate_pairs_negated)
+    monkeypatch.setattr(np.linalg, "qr", alternate_rows_negated)
+    for x, base in zip(members, expected):
+        got = analyze(ForecastEnsemble(x), obs)
+        za = base.perturbations
+        assert np.abs(got.perturbations - za).max() <= 1e-14 * np.abs(za).max()
+        assert np.abs(got.mean - base.mean).max() <= 1e-14 * np.abs(base.mean).max()
 
 
 # ---------------------------------------------------------------- adjustment
