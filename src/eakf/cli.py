@@ -152,7 +152,11 @@ def _cmd_assimilate(args) -> int:
         )
 
     ensemble = ForecastEnsemble(members)
-    model = ObservationModel(operator=operator, covariance=covariance, observation=observation)
+    try:
+        model = ObservationModel(operator=operator, covariance=covariance, observation=observation)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        # the shapes are checked above, so only R can be refused here
+        raise MatrixFileError(f"{args.R}: {exc}") from None
     if args.mode == "misordered":
         result = misordered_analysis(ensemble, model)
     else:

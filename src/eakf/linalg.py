@@ -21,7 +21,10 @@ basis as the trailing columns. The contract then holds even when ``S`` has a
 larger null space than the perturbation matrix, e.g. for unobserved or
 partially observed ensembles. ``S`` itself is never formed: its eigenvalues
 are the squared singular values of ``Y``, so they keep the accuracy of ``Y``
-instead of the squared conditioning of an explicit Gram matrix.
+instead of the squared conditioning of an explicit Gram matrix. When ``Y``
+is ``Z`` with its rows permuted, over one ``sigma``, ``_permuted_eig`` reads
+both decompositions off one reduction of ``Z`` instead; ``svd_full`` runs
+the same reduction without forming its left factor.
 
 Both routines fix the sign LAPACK leaves free in each singular pair by one
 pivot rule on the columns of their right factors, so those factors, and the
@@ -132,12 +135,11 @@ def svd_full(matrix) -> SvdFactors:
     """Rank-revealing SVD with a deterministic sign convention.
 
     The input ``Z`` is first reduced to its ``(min(n, m), m)`` triangular
-    factor ``R`` (``Z = Q R``, ``Q`` discarded), and ``R`` is decomposed:
+    factor ``R`` (``Z = Q R``, ``Q`` not formed), and ``R`` is decomposed:
     ``Z`` and ``R`` share their singular values and right factor, so no
     ``n``-row factor is formed (Chan's R-SVD). The QR costs ``O(n m^2)``
-    time for ``n >= m``, the SVD of ``R`` ``O(m^3)``. The left factor
-    ``U_R`` of ``R`` is dropped here; ``eakf.update`` keeps it, through the
-    same private helper, when ``H`` observes each state variable once.
+    time for ``n >= m``, the SVD of ``R`` ``O(m^3)``. :func:`_permuted_eig`
+    runs the same reduction with ``Q`` formed, for the left factor.
 
     Parameters
     ----------
@@ -154,30 +156,48 @@ def svd_full(matrix) -> SvdFactors:
         magnitude (smallest index on ties) is positive.
     """
     arr = require_matrix(matrix, "svd_full input")
-    n, m = arr.shape
-    if n == 0 or m == 0:
+    if not arr.size:
         raise ValueError("svd_full: empty matrix")
-    return _triangle_svd(np.linalg.qr(arr, mode="r"), n)[0]
+    return _r_svd(arr)[0]
 
 
-def _triangle_svd(triangle: np.ndarray, n: int) -> tuple[SvdFactors, np.ndarray]:
-    """The R-SVD of an ``(n, m)`` matrix ``Z = Q R`` from its triangle ``R = U_R Sig V.T``.
+def _r_svd(z: np.ndarray, basis: bool = False) -> tuple[SvdFactors, np.ndarray | None]:
+    """The R-SVD of a nonempty ``(n, m)`` matrix ``Z = Q R``, ``R = U_R Sig V.T``.
 
-    Returns the :class:`SvdFactors` of ``Z`` (``n`` sets the rank threshold)
-    and the leading ``rank`` columns of ``U_R``, each flipped with the pivot
-    sign of its column of ``V``, so that ``Z = (Q U_R) Sig V.T`` still holds
-    for the signed factors.
+    Returns the :class:`SvdFactors` of ``Z`` and, if ``basis``, the leading
+    ``rank`` columns of ``Q U_R``, each flipped with the pivot sign of its
+    column of ``V`` so that ``Z = (Q U_R) Sig V.T`` still holds for the
+    signed factors; otherwise ``None``, and ``Q`` is not formed.
     """
+    q, triangle = np.linalg.qr(z) if basis else (None, np.linalg.qr(z, mode="r"))
     # The triangle has at most m rows, so its full SVD gives the (m, m)
     # right factor and a left factor of at most (m, m).
     left, s, vt = np.linalg.svd(triangle)
-    threshold = RANK_TOL * float(s[0]) * max(n, triangle.shape[1])
-    rank = int(np.count_nonzero(s > threshold))
-
+    rank = int(np.count_nonzero(s > RANK_TOL * float(s[0]) * max(z.shape)))
     # vt is a fresh array: sign it in place instead of copying
     right = vt.T
     signs = _pivot_signs(right)
-    return SvdFactors(singular_values=s[:rank], right=right), left[:, :rank] * signs[:rank]
+    u = q @ (left[:, :rank] * signs[:rank]) if basis else None
+    return SvdFactors(singular_values=s[:rank], right=right), u
+
+
+def _permuted_eig(z: np.ndarray, rows: np.ndarray, sigma: float) -> tuple[SvdFactors, OrderedEigen]:
+    """``svd_full(Z)`` and ``ordered_eig_psd(Z[rows] / sigma, svd_full(Z))`` from one reduction.
+
+    ``rows`` is a permutation ``P`` of ``range(n)`` and ``sigma`` positive.
+    With ``Z = (Q U_R) Sig V.T`` from :func:`_r_svd`,
+    ``Y = P Z / sigma = (P Q U_R) diag(Sig / sigma) V.T`` is already an SVD
+    of ``Y``: ``vectors`` is ``V``, with the null space last by
+    construction, ``values`` is ``(Sig_r / sigma)**2`` and ``obs_vectors``
+    is ``P Q U_R[:, :r]`` (``Q_W = I``). No SVD of ``Y`` is taken, and
+    ``Y B_null``, ``Z``'s own residue below the rank cut over ``sigma``,
+    needs no check. ``values`` agree with ``ordered_eig_psd``'s to rounding,
+    and the trailing ``m - r`` columns of ``vectors`` exactly.
+    """
+    svd, left = _r_svd(z, basis=True)
+    values = np.zeros(z.shape[1])
+    np.square(svd.singular_values / sigma, out=values[: svd.rank])
+    return svd, OrderedEigen(vectors=svd.right, values=values, obs_vectors=left[rows])
 
 
 def _pivot_signs(columns: np.ndarray) -> np.ndarray:

@@ -40,10 +40,10 @@ of which ``Z`` takes one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and
 ``O((n + p) m)`` memory.
 
 When ``H`` observes each state variable exactly once, given as state
-indices, and ``R`` is one variance repeated, ``S = Z.T Z / sigma**2`` and
-the SVD of ``Z`` already is the ordered eigendecomposition:
-:func:`_permuted_factors` then takes no SVD of ``Y`` (every cycle of
-:mod:`eakf.twin`). Every other input takes the general path, bit for bit.
+indices, and ``R`` is one variance repeated (every cycle of
+:mod:`eakf.twin`), both factors come from one reduction of ``Z``, and ``Y``
+is never formed; :func:`eakf.linalg._permuted_eig` says why that is exact.
+Every other input takes the general path, bit for bit.
 
 The factorization of ``Z`` and the projection ``Y`` with ``H x_f`` depend
 on ``Z`` alone, not on each other. For a matrix ``H`` with ``p n m`` at
@@ -92,7 +92,7 @@ import numpy as np
 
 from ._arrays import _all_finite, _as_float64, center_rows, require_centered
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
-from .linalg import OrderedEigen, SvdFactors, _triangle_svd, ordered_eig_psd, svd_full
+from .linalg import OrderedEigen, SvdFactors, _permuted_eig, ordered_eig_psd, svd_full
 
 # Smallest p * n * m (the multiply-adds of H Z) for which a matrix H is
 # applied on the worker thread while Z is factored. Measured with one BLAS
@@ -128,13 +128,11 @@ class AnalysisResult:
     perturbations: np.ndarray
 
     def __init__(self, mean, perturbations, covariance=None):
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "perturbations", perturbations)
-        self.__post_init__(covariance)
+        self.__post_init__(mean, perturbations, covariance)
 
-    def __post_init__(self, covariance):
-        mean = _as_float64(self.mean, "analysis mean")
-        za = _as_float64(self.perturbations, "analysis perturbations")
+    def __post_init__(self, mean, perturbations, covariance):
+        mean = _as_float64(mean, "analysis mean")
+        za = _as_float64(perturbations, "analysis perturbations")
         if za.ndim != 2:
             raise ValueError(f"analysis perturbations: expected a 2-D array, got shape {za.shape}")
         n = za.shape[0]
@@ -210,24 +208,6 @@ def _permutes(obs: ObservationModel, n: int) -> bool:
     return bool(np.logical_and.reduce(np.bincount(op, minlength=n) == 1))
 
 
-def _permuted_factors(z: np.ndarray, obs: ObservationModel) -> tuple[SvdFactors, OrderedEigen]:
-    """``svd`` and ``eig`` of ``Z`` for a permutation ``H = P`` and ``R = sigma**2 I``.
-
-    One QR ``Z = Q R_Z`` with ``Q`` formed and the SVD ``R_Z = U_R Sig V.T``
-    give both: ``Y = P Z / sigma = (P Q U_R) diag(Sig / sigma) V.T`` is
-    already an SVD of ``Y``, so ``C = V`` with the null space last by
-    construction, ``s = Sig_r / sigma`` and ``U_W = P Q U_R[:, :r]``
-    (``Q_W = I``). ``S = Z.T Z / sigma**2`` is never formed, and
-    :func:`eakf.linalg.ordered_eig_psd` is not needed: ``Y B_null`` is
-    ``Z``'s own residue below the rank cut, over ``sigma``.
-    """
-    q, triangle = np.linalg.qr(z)
-    svd, left = _triangle_svd(triangle, z.shape[0])
-    values = np.zeros(z.shape[1])
-    np.square(svd.singular_values / obs.cholesky[0], out=values[: svd.rank])
-    return svd, OrderedEigen(vectors=svd.right, values=values, obs_vectors=obs.apply(q @ left))
-
-
 def _overlaps(z: np.ndarray, obs: ObservationModel) -> bool:
     """Whether ``H`` is applied on the worker while ``Z`` is factored."""
     op = obs.operator
@@ -270,13 +250,12 @@ def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
     unwhitened ``H x_f``. ``Y`` and ``hx`` are made on the worker thread
     while ``svd_full`` runs when :func:`_overlaps` says so, else after it;
     the calls are the same either way. When :func:`_permutes` says so,
-    ``svd`` and ``eig`` come instead from one QR and one SVD
-    (:func:`_permuted_factors`), and ``Y`` is never formed.
+    ``svd`` and ``eig`` come instead from :func:`eakf.linalg._permuted_eig`.
     """
     pert = perturbation_matrix(ens)
     z = pert.matrix
     if _permutes(obs, z.shape[0]):
-        return (pert, *_permuted_factors(z, obs), obs.apply(ens.mean))
+        return (pert, *_permuted_eig(z, obs.operator, obs.cholesky[0]), obs.apply(ens.mean))
     if not _overlaps(z, obs):
         svd = svd_full(z)
         y, hx = _observed(z, ens.mean, obs)

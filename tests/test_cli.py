@@ -271,6 +271,38 @@ def test_assimilate_diagonal_r_column(tmp_path):
     assert report["p"] == 2 and report["passed"] is True
 
 
+def two_observation_argv(tmp_path, r_text):
+    (tmp_path / "E.csv").write_text("1,-1,0\n0,1,-1\n")
+    (tmp_path / "H.csv").write_text("1,0\n0,1\n")
+    (tmp_path / "R.csv").write_text(r_text)
+    (tmp_path / "y.csv").write_text("1\n0\n")
+    argv = ["assimilate"]
+    for flag, name in [("--ensemble", "E"), ("--H", "H"), ("--R", "R"), ("--y", "y")]:
+        argv += [flag, str(tmp_path / f"{name}.csv")]
+    return argv + ["--out-prefix", str(tmp_path / "out")]
+
+
+def test_assimilate_dense_r_matrix(tmp_path):
+    # a 2 x 2 SPD R is factored and whitened through LAPACK, not as variances
+    assert main(two_observation_argv(tmp_path, "2,0.5\n0.5,3\n")) == 0
+    report = json.loads((tmp_path / "out_report.json").read_text())
+    assert report["p"] == 2 and report["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2,1\n0,3\n", "observation error covariance not symmetric"),
+        ("1,2\n2,1\n", "observation error covariance R not positive definite"),
+    ],
+    ids=["not-symmetric", "indefinite"],
+)
+def test_assimilate_refused_r_names_the_file(tmp_path, capsys, text, message):
+    assert main(two_observation_argv(tmp_path, text)) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'R.csv'}: {message}\n"
+    assert not (tmp_path / "out_report.json").exists()
+
+
 def test_assimilate_forms_no_state_by_state_array(tmp_path):
     # n = 5000: one n x n float64 array is 200 MB; the whole command, CSV
     # reading and writing included, must stay under a quarter of that

@@ -5,7 +5,15 @@ import pytest
 
 from eakf.ensemble import perturbation_matrix
 from eakf.instances import ALL_CATEGORIES, random_instance
-from eakf.linalg import OrderedEigen, SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
+from eakf.linalg import (
+    OrderedEigen,
+    SvdFactors,
+    _permuted_eig,
+    _r_svd,
+    ordered_eig_psd,
+    pinv_rect_diag,
+    svd_full,
+)
 
 RNG_SHAPES = [(1, 2), (2, 2), (3, 5), (5, 3), (4, 12), (20, 12), (12, 7)]
 
@@ -277,6 +285,65 @@ def test_pinv_errors():
         pinv_rect_diag(np.array([[1.0, 0.5]]))
     with pytest.raises(ValueError, match="rank"):
         pinv_rect_diag(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def assert_identical(a, b):
+    """Same shape and the same bits, signed zeros included."""
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def centered(z):
+    return z - z.mean(axis=1, keepdims=True)
+
+
+def repeated_singular_values(rng, n, m):
+    """A centered ``(n, m)`` matrix with singular values ``2, 2, 2, 1``."""
+    u = np.linalg.qr(rng.standard_normal((n, 4)))[0]
+    # columns 1.. of an orthogonal basis led by the ones vector are centered
+    v = np.linalg.qr(np.column_stack([np.ones(m), rng.standard_normal((m, m - 1))]))[0][:, 1:5]
+    return (u * [2.0, 2.0, 2.0, 1.0]) @ v.T
+
+
+PERMUTED_CASES = {
+    "tall": lambda rng: centered(rng.standard_normal((12, 5))),
+    "wide": lambda rng: centered(rng.standard_normal((4, 9))),
+    "rank-2": lambda rng: centered(rng.standard_normal((8, 2)) @ rng.standard_normal((2, 6))),
+    "zero-spread": lambda rng: np.zeros((5, 4)),
+    "repeated": lambda rng: repeated_singular_values(rng, 10, 7),
+}
+
+
+@pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("case", PERMUTED_CASES)
+def test_permuted_eig_is_ordered_eig_psd_of_the_permuted_rows(case, sigma):
+    rng = np.random.default_rng(list(PERMUTED_CASES).index(case))
+    z = PERMUTED_CASES[case](rng)
+    rows = rng.permutation(z.shape[0])
+    y = z[rows] / sigma
+    svd, eig = _permuted_eig(z, rows, sigma)
+    general = svd_full(z)
+    reference = ordered_eig_psd(y, general)
+    assert_identical(svd.singular_values, general.singular_values)
+    assert_identical(svd.right, general.right)
+    np.testing.assert_allclose(eig.values, reference.values, rtol=1e-13, atol=0.0)
+    r = svd.rank
+    assert_identical(eig.vectors[:, r:], reference.vectors[:, r:])
+    u_w = eig.obs_vectors
+    assert u_w.shape == (z.shape[0], r)
+    np.testing.assert_allclose(u_w.T @ u_w, np.eye(r), rtol=0.0, atol=1e-14)
+    # Y B = U_W diag(s)
+    scale = max(np.linalg.norm(y), 1e-300)
+    assert np.linalg.norm(y @ svd.row_space_basis() - u_w * np.sqrt(eig.values[:r])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("case", PERMUTED_CASES)
+def test_the_reduction_gives_one_svd_with_or_without_the_basis(case):
+    z = PERMUTED_CASES[case](np.random.default_rng(7))
+    alone, none = _r_svd(z)
+    with_basis, _ = _r_svd(z, basis=True)
+    assert none is None
+    assert_identical(alone.singular_values, with_basis.singular_values)
+    assert_identical(alone.right, with_basis.right)
 
 
 def test_ordered_eig_two_member_example():
