@@ -40,10 +40,12 @@ def _dump_json(path, payload: dict) -> None:
 
 
 def _require_directories(*paths) -> None:
-    """Raise, before any work, the error that writing into a missing directory would."""
-    for path in paths:
-        if path and not Path(path).parent.is_dir():
+    """Raise, before any work, the error that writing to a directory, or into a missing one, would."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+        if Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="random-instance consistency sweep against the oracle")
     ver.add_argument("--trials", type=int, default=1000)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--rank-deficient", action="store_true", help="include n >= m instances")
-    ver.add_argument("--partial-obs", action="store_true", help="include rank(S) < rank(Z) instances")
-    ver.add_argument("--zero-h", action="store_true", help="include H = 0 instances")
     ver.add_argument("--out", type=str, default=None, help="write the JSON report here")
     ver.set_defaults(handler=_cmd_verify)
 
@@ -90,14 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     _require_directories(args.out)
-    cfg = VerifyConfig(
-        trials=args.trials,
-        seed=args.seed,
-        include_rank_deficient=args.rank_deficient,
-        include_partial_obs=args.partial_obs,
-        include_zero_h=args.zero_h,
-    )
-    report = run_verify(cfg)
+    report = run_verify(VerifyConfig(trials=args.trials, seed=args.seed))
     report["timestamp"] = _timestamp()
     if args.out:
         _dump_json(args.out, report)
@@ -122,7 +114,7 @@ def _cmd_demo(args) -> int:
 
 def _cmd_assimilate(args) -> int:
     prefix = args.out_prefix
-    _require_directories(f"{prefix}_members.csv")
+    _require_directories(f"{prefix}_members.csv", f"{prefix}_mean.csv", f"{prefix}_report.json")
     members = read_matrix(args.ensemble)
     n, m = members.shape
     if m < 2:

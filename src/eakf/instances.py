@@ -70,6 +70,8 @@ def random_instance(seed: int, category: str = GENERIC) -> RandomInstance:
     """
     if category not in ALL_CATEGORIES:
         raise ValueError(f"unknown instance category {category!r}")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, _MAX_N + 1))
     m = int(rng.integers(_MIN_M, _MAX_M + 1))

@@ -50,6 +50,8 @@ class TwinConfig:
             raise ValueError("n must be >= 1")
         if self.m < 2:
             raise ValueError("m must be >= 2")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def run_twin(cfg: TwinConfig) -> dict:

@@ -218,7 +218,7 @@ def test_criterion_6_structural_invariants(tmp_path):
             eig_rel = np.linalg.norm(rebuilt - s) / max(np.linalg.norm(s), 1e-300)
             eig_worst = max(eig_worst, eig_rel)
 
-    argv = ["verify", "--trials", "25", "--seed", "1", "--rank-deficient", "--out"]
+    argv = ["verify", "--trials", "25", "--seed", "1", "--out"]
     cli_main(argv + [str(tmp_path / "a.json")])
     cli_main(argv + [str(tmp_path / "b.json")])
     reports = []

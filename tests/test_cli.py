@@ -50,7 +50,6 @@ def test_verify_small_sweep(tmp_path):
             "verify",
             "--trials", "40",
             "--seed", "7",
-            "--rank-deficient", "--partial-obs", "--zero-h",
             "--out", str(out),
         ]
     )
@@ -79,7 +78,7 @@ def test_verify_deterministic_reports(tmp_path):
 
 
 def test_verify_without_out_prints_the_report(tmp_path, capsys):
-    argv = ["verify", "--trials", "12", "--seed", "3", "--partial-obs"]
+    argv = ["verify", "--trials", "12", "--seed", "3"]
     assert main(argv) == 0
     printed = json.loads(capsys.readouterr().out)
     printed.pop("timestamp")
@@ -96,16 +95,27 @@ def test_verify_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize(
     "flag, value",
     [("--tol", "1e-3"), ("--n-min", "2"), ("--n-max", "5"), ("--m-min", "3"),
-     ("--m-max", "5"), ("--p-min", "2"), ("--p-max", "5")],
+     ("--m-max", "5"), ("--p-min", "2"), ("--p-max", "5"),
+     ("--rank-deficient", None), ("--partial-obs", None), ("--zero-h", None)],
 )
 def test_verify_has_no_tolerance_or_size_flags(tmp_path, flag, value):
-    # the 1e-10 contract and the instance sizes are constants
-    assert main(["verify", "--trials", "2", flag, value, "--out", str(tmp_path / "r.json")]) == 2
+    # the 1e-10 contract, the instance sizes and the categories are constants
+    option = [flag] if value is None else [flag, value]
+    assert main(["verify", "--trials", "2", *option, "--out", str(tmp_path / "r.json")]) == 2
     assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_usage_error():
     assert main(["verify", "--trials", "not-a-number"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--seed", "-1"], ["twin", "--seed", "-5"], ["demo-pitfall", "--seed", "-2"]],
+    ids=["verify", "twin", "demo-pitfall"],
+)
+def test_negative_seed_names_itself(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0\n"
 
 
 # ------------------------------------------------------------- demo-pitfall
@@ -429,15 +439,28 @@ OUTPUT_PATH_CASES = pytest.mark.parametrize(
 )
 
 
-def run_into_missing_directory(tmp_path, capsys, argv, written):
-    """Run ``argv`` with its output path in a missing directory; check exit 2 and the message."""
-    path = tmp_path / "missing" / "out"
+def run_with_output_path(tmp_path, argv, path):
+    """Run ``argv`` with ``path`` as its output path; return the exit code."""
     if argv[0] == "assimilate":
         inputs = [item for pair in write_scalar_inputs(tmp_path).items() for item in pair]
         argv = argv[:1] + inputs + argv[1:]
-    assert main(argv + [str(path)]) == 2
+    return main(argv + [str(path)])
+
+
+def run_into_missing_directory(tmp_path, capsys, argv, written):
+    """Run ``argv`` with its output path in a missing directory; check exit 2 and the message."""
+    path = tmp_path / "missing" / "out"
+    assert run_with_output_path(tmp_path, argv, path) == 2
     err = capsys.readouterr().err
     assert err == f"error: [Errno 2] No such file or directory: '{path}{written}'\n"
+
+
+def refuse_every_runner(monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    for name in ("run_verify", "run_twin", "run_pitfall_demo", "analyze"):
+        monkeypatch.setattr(eakf.cli, name, not_reached)
 
 
 @OUTPUT_PATH_CASES
@@ -450,12 +473,33 @@ def test_unwritable_output_path_is_an_output_error(tmp_path, capsys, argv, writt
 @OUTPUT_PATH_CASES
 def test_output_directories_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, written):
     # a missing directory fails at once, not after the whole run
-    def not_reached(*args, **kwargs):
-        raise AssertionError("ran before the output path was checked")
-
-    for name in ("run_verify", "run_twin", "run_pitfall_demo", "analyze"):
-        monkeypatch.setattr(eakf.cli, name, not_reached)
+    refuse_every_runner(monkeypatch)
     run_into_missing_directory(tmp_path, capsys, argv, written)
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["verify", "--trials", "2", "--out"], ""),
+        (["twin", "--steps", "2", "--series"], ""),
+        (["twin", "--steps", "2", "--out"], ""),
+        (["demo-pitfall", "--json"], ""),
+        (["assimilate", "--out-prefix"], "_members.csv"),
+        (["assimilate", "--out-prefix"], "_mean.csv"),
+        (["assimilate", "--out-prefix"], "_report.json"),
+    ],
+    ids=["verify", "twin", "twin-out", "demo-pitfall", "assimilate-members", "assimilate-mean",
+         "assimilate-report"],
+)
+def test_an_existing_directory_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, written):
+    # writing to a directory would fail only after the whole run
+    refuse_every_runner(monkeypatch)
+    path = tmp_path / "out"
+    directory = tmp_path / f"out{written}"
+    directory.mkdir()
+    assert run_with_output_path(tmp_path, argv, path) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{directory}'\n"
+    assert list(tmp_path.glob("out*")) == [directory]
 
 
 def test_module_entry_point():

@@ -109,3 +109,8 @@ def test_sizes_are_pinned(category):
 def test_unknown_category():
     with pytest.raises(ValueError, match="unknown instance category"):
         random_instance(0, "weird")
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        random_instance(-1, GENERIC)

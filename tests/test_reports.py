@@ -61,6 +61,27 @@ def test_verify_categories_follow_all_categories(name):
     assert list(report["categories"]) == sorted(counts)
 
 
+@pytest.mark.parametrize("seed", [0, 11, 500])
+def test_verify_defaults_sweep_every_category(seed):
+    everything = verify_config(20, FLAG_SETS["all"][0], seed)
+    assert run_verify(VerifyConfig(trials=20, seed=seed)) == run_verify(everything)
+
+
+def test_verify_draws_a_category_added_to_all_categories(monkeypatch):
+    # a new category needs only its ALL_CATEGORIES entry; here it draws generic instances
+    random_instance = eakf.verify.random_instance
+
+    def with_stiff(seed, category):
+        return random_instance(seed, GENERIC if category == "stiff" else category)
+
+    monkeypatch.setattr(eakf.verify, "ALL_CATEGORIES", (*ALL_CATEGORIES, "stiff"))
+    monkeypatch.setattr(eakf.verify, "random_instance", with_stiff)
+    report = run_verify(VerifyConfig(trials=12))
+    assert [row["category"] for row in report["trials"]][5::6] == ["stiff", "stiff"]
+    assert report["categories"] == dict.fromkeys(sorted((*ALL_CATEGORIES, "stiff")), 2)
+    assert report["passed"] is True
+
+
 def test_verify_summary_is_derived_from_trials(monkeypatch):
     # trials 5 and 9 are generic. Trial 5's analysis has twice the spread,
     # four times the covariance; trial 9's Woodbury route is 1.5 times its

@@ -51,3 +51,8 @@ def test_spread_is_the_trace_of_the_analysis_covariance(monkeypatch):
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         TwinConfig(**kwargs)
+
+
+def test_negative_seed_is_refused():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        TwinConfig(seed=-1)
