@@ -5,7 +5,8 @@ output error. ``verify``, ``demo-pitfall`` and ``assimilate`` judge every
 analysis covariance at the fixed 1e-10 contract of
 :data:`eakf.oracle.TOLERANCE`: ``verify`` against the dense direct
 posterior, ``demo-pitfall`` and ``assimilate`` through
-:func:`eakf.oracle.compare_factored`, which forms no ``(n, n)`` matrix. All
+:func:`eakf.oracle.compare_factored`, which forms no ``(n, n)`` matrix. Each
+judge reads the analysis' own ``Z``, so every instance forms ``Z`` once. All
 commands are deterministic given their seed; reports carry a ``timestamp``
 field that callers should ignore when comparing runs.
 """
@@ -22,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .demo import format_pitfall_report, misordered_analysis, run_pitfall_demo
-from .ensemble import ForecastEnsemble, ObservationModel, perturbation_matrix
+from .demo import _misordered_transform, format_pitfall_report, run_pitfall_demo
+from .ensemble import ForecastEnsemble, ObservationModel
 from .matio import MatrixFileError, read_matrix, read_vector, write_matrix, write_vector
 from .oracle import compare_factored
 from .twin import TwinConfig, run_twin, series_csv_lines
-from .update import analyze
+from .update import _analyses, adjustment_matrix
 from .verify import VerifyConfig, run_verify
 
 
@@ -149,11 +150,9 @@ def _cmd_assimilate(args) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         # the shapes are checked above, so only R can be refused here
         raise MatrixFileError(f"{args.R}: {exc}") from None
-    if args.mode == "misordered":
-        result = misordered_analysis(ensemble, model)
-    else:
-        result = analyze(ensemble, model)
-    comparison = compare_factored(result.perturbations, perturbation_matrix(ensemble), model)
+    transform = _misordered_transform if args.mode == "misordered" else adjustment_matrix
+    pert, result = _analyses(ensemble, model, transform)
+    comparison = compare_factored(result.perturbations, pert, model)
 
     write_matrix(f"{prefix}_members.csv", result.members())
     write_vector(f"{prefix}_mean.csv", result.mean)

@@ -14,9 +14,9 @@ makes the analysis' own cut on ``C`` reversed into ascending-eigenvalue
 order, so it differs from the analysis in that order alone.
 
 :func:`run_pitfall_demo` runs the hand-checkable scalar instance and one
-random rank-deficient instance both ways, from one ``Z`` and one
-factorization per instance, and reports the analysis covariance trace of
-each against the exact Kalman posterior trace, all read off
+random rank-deficient instance both ways, from one ``Z``, one factorization
+and one Kalman mean per instance, and reports the analysis covariance trace
+of each against the exact Kalman posterior trace, all read off
 :func:`eakf.oracle.compare_factored` without an ``(n, n)`` matrix. The
 misordered run must lose trace (under-dispersion) while the correct run
 must match the oracle; anything else is a failure of the demonstration.
@@ -30,7 +30,7 @@ from .ensemble import ForecastEnsemble, ObservationModel
 from .instances import RANK_DEFICIENT, random_instance
 from .linalg import OrderedEigen, SvdFactors
 from .oracle import TOLERANCE, compare_factored
-from .update import AnalysisResult, _analysis_factors, _cut, _transformed, adjustment_matrix
+from .update import AnalysisResult, _analyses, _cut, adjustment_matrix
 
 SCHEMA_VERSION = 1
 
@@ -61,7 +61,7 @@ def misordered_analysis(ens: ForecastEnsemble, obs: ObservationModel) -> Analysi
     correct analysis. The mean is the exact Kalman mean; only the
     perturbations, and with them the covariance ``Za @ Za.T``, are wrong.
     """
-    return _transformed(ens, obs, _analysis_factors(ens, obs), _misordered_transform)
+    return _analyses(ens, obs, _misordered_transform)[1]
 
 
 def run_pitfall_demo(seed: int) -> dict:
@@ -79,12 +79,9 @@ def run_pitfall_demo(seed: int) -> dict:
 
     rows = []
     for name, ensemble, model in instances:
-        # one Z and one factorization serve both cuts and their judge
-        factors = _analysis_factors(ensemble, model)
-        correct, misordered = (
-            compare_factored(_transformed(ensemble, model, factors, cut).perturbations, factors[0], model)
-            for cut in (adjustment_matrix, _misordered_transform)
-        )
+        # one Z, one factorization and one mean serve both cuts and their judge
+        pert, *analyses = _analyses(ensemble, model, adjustment_matrix, _misordered_transform)
+        correct, misordered = (compare_factored(result.perturbations, pert, model) for result in analyses)
         deficit = correct.trace_rhs - misordered.trace_lhs
         rows.append(
             {

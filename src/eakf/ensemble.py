@@ -39,6 +39,8 @@ class ForecastEnsemble:
         m = members.shape[1]
         if m < 2:
             raise ValueError("ensemble too small: need at least 2 members")
+        if not members.shape[0]:
+            raise ValueError(f"members: need at least one state variable (row), got shape {members.shape}")
         object.__setattr__(self, "members", members)
         # sum / m is what ndarray.mean computes for float64, without its
         # wrapper. A row whose sum overflows is summed scaled by the power of

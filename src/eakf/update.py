@@ -29,8 +29,8 @@ which is all this module forms. ``left`` drops out, and
 ``right`` off the SVD of the ``(min(n, m), m)`` triangle of a QR of ``Z``.
 ``S = Y.T @ Y`` is not formed either: ``g`` and ``C`` come from an SVD of the
 whitened ``Y = inv(L) H Z`` (``R = L L.T``; the observation model factors
-``R`` once and whitens), and so do the mean and the Kalman gain; one private
-function builds the factors for every analysis. Nor is ``Za @ Za.T`` formed:
+``R`` once and whitens), and so do the mean and the Kalman gain; one
+``_analyses`` call gives each command its ``Z``. Nor is ``Za @ Za.T`` formed:
 ``AnalysisResult.covariance`` is a cached property, not a dataclass field,
 formed the first time it is read (``dataclasses.replace`` does not read it),
 from the row-major ``Za`` the result stores. So
@@ -198,11 +198,11 @@ def _permutes(obs: ObservationModel, n: int) -> bool:
 
     That is, ``H`` is a permutation given as state indices and ``R`` a
     vector holding one variance ``p = n`` times; ``O(n)``. A repeated or
-    out-of-range index, ``p != n``, unequal variances, a matrix ``H``, a
-    matrix ``R`` and an empty state (which keeps its error) all answer no.
+    out-of-range index, ``p != n``, unequal variances, a matrix ``H`` and a
+    matrix ``R`` all answer no.
     """
     op, cov = obs.operator, obs.covariance
-    if not n or op.ndim != 1 or op.size != n or cov.ndim != 1 or not np.logical_and.reduce(cov == cov[0]):
+    if op.ndim != 1 or op.size != n or cov.ndim != 1 or not np.logical_and.reduce(cov == cov[0]):
         return False
     # n counts of one use up all n indices, so none is left to fall past n - 1
     return bool(np.logical_and.reduce(np.bincount(op, minlength=n) == 1))
@@ -308,37 +308,39 @@ def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
     return _cut(svd, eig.vectors, eig.values)
 
 
-def _transformed(ens: ForecastEnsemble, obs: ObservationModel, factors, transform) -> AnalysisResult:
-    """The Kalman mean and the perturbations ``Z @ transform(svd, eig)``.
+def _analyses(ens: ForecastEnsemble, obs: ObservationModel, *transforms):
+    """The forecast ``PerturbationMatrix`` and one analysis per transform.
 
-    ``factors`` is what :func:`_analysis_factors` returns for ``ens`` and
-    ``obs``; ``transform`` is :func:`adjustment_matrix`, or the pitfall's cut
-    in :mod:`eakf.demo`. The perturbation update only constrains the
-    covariance; the mean is the standard Kalman mean ``mean + K (y - H
-    mean)``, taken from the same factors without forming ``K``:
+    One :func:`_analysis_factors` call and one Kalman mean serve every
+    ``transform`` (:func:`adjustment_matrix`, or the pitfall's cut in
+    :mod:`eakf.demo`), whose perturbations are ``Z @ transform(svd, eig)``.
+    The perturbation update only constrains the covariance; the mean is the
+    standard Kalman mean ``mean + K (y - H mean)``, without forming ``K``:
     ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
-    the innovation and an ``m``-vector of weights.
+    the innovation and an ``m``-vector of weights. Judge on the ``Z`` returned.
     """
-    pert, svd, eig, hx = factors
+    pert, svd, eig, hx = _analysis_factors(ens, obs)
     k = eig.obs_vectors.shape[1]
     innovation = obs.whiten(obs.observation - hx)
     weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
     mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
-    za = pert.matrix @ transform(svd, eig)
-    # Z @ T annihilates the ones vector in exact arithmetic; remove the
-    # matmul rounding residue so the centering invariant holds exactly.
-    center_rows(za)
-    return AnalysisResult(mean=mean_a, perturbations=za)
+    results = []
+    for transform in transforms:
+        za = pert.matrix @ transform(svd, eig)
+        # Z @ T annihilates the ones vector in exact arithmetic; remove the
+        # matmul rounding residue so the centering invariant holds exactly.
+        center_rows(za)
+        results.append(AnalysisResult(mean=mean_a, perturbations=za))
+    return (pert, *results)
 
 
 def analyze(ens: ForecastEnsemble, obs: ObservationModel) -> AnalysisResult:
     """Run one analysis step: transformed perturbations plus the Kalman mean.
 
-    The factors come from :func:`_analysis_factors`, the mean and the
-    perturbations ``Z @ adjustment_matrix(svd, eig)`` from
-    :func:`_transformed`; ``covariance`` is formed on first read.
+    The mean and the perturbations ``Z @ adjustment_matrix(svd, eig)`` come
+    from :func:`_analyses`; ``covariance`` is formed on first read.
 
     Raises ValueError when the analysis overflows float64 (the mean or the
     row sums of squares of ``Za``, the covariance diagonal, are not finite).
     """
-    return _transformed(ens, obs, _analysis_factors(ens, obs), adjustment_matrix)
+    return _analyses(ens, obs, adjustment_matrix)[1]

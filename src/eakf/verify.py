@@ -5,7 +5,8 @@ Every trial draws a seeded instance of the fixed sizes in
 :data:`eakf.instances.ALL_CATEGORIES`, runs the analysis, and checks two
 things at the 1e-10 contract (:data:`eakf.oracle.TOLERANCE`): the analysis
 covariance against the direct Kalman posterior, and the mutual agreement of
-the three oracle routes (direct, reduced, Woodbury) on the same instance.
+the three oracle routes (direct, reduced, Woodbury) on the same instance,
+all built from the analysis' own ``Z`` (:func:`eakf.update._analyses`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 
-from .ensemble import forecast_cov, perturbation_matrix
+from .ensemble import forecast_cov
 from .instances import ALL_CATEGORIES, PARTIAL_OBS, RANK_DEFICIENT, ZERO_H, random_instance
 from .oracle import (
     TOLERANCE,
@@ -22,7 +23,7 @@ from .oracle import (
     posterior_cov_reduced,
     posterior_cov_woodbury,
 )
-from .update import analyze
+from .update import _analyses, adjustment_matrix
 
 SCHEMA_VERSION = 2
 
@@ -53,9 +54,8 @@ def run_verify(cfg: VerifyConfig) -> dict:
     for index in range(cfg.trials):
         category = pool[index % len(pool)]
         inst = random_instance(cfg.seed + index, category)
-        pert = perturbation_matrix(inst.ensemble)
+        pert, result = _analyses(inst.ensemble, inst.observation, adjustment_matrix)
         direct = posterior_cov_direct(forecast_cov(pert), inst.observation)
-        result = analyze(inst.ensemble, inst.observation)
 
         analysis_cmp = compare_cov(result.covariance, direct)
         reduced_cmp = compare_cov(posterior_cov_reduced(pert, inst.observation), direct)

@@ -9,6 +9,7 @@ import pytest
 
 import eakf.cli
 from eakf.cli import main
+from eakf.ensemble import PerturbationMatrix
 from eakf.matio import read_matrix, read_vector, write_matrix
 
 
@@ -172,6 +173,20 @@ def test_assimilate_scalar_misordered(tmp_path):
     report = json.loads((tmp_path / "out_report.json").read_text())
     assert report["passed"] is False
     assert report["comparison"]["trace_deficit"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mode, code", [("correct", 0), ("misordered", 1)])
+def test_assimilate_judges_on_the_analysis_z(tmp_path, monkeypatch, mode, code):
+    # the judge reads the Z the analysis was built from, not a second one
+    zs, post_init = [], PerturbationMatrix.__post_init__
+
+    def counted(self):
+        zs.append(self)
+        return post_init(self)
+
+    monkeypatch.setattr(PerturbationMatrix, "__post_init__", counted)
+    assert run_assimilate(tmp_path, mode) == code
+    assert len(zs) == 1
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "1e-3"), ("--seed", "0")])
@@ -459,7 +474,7 @@ def refuse_every_runner(monkeypatch):
     def not_reached(*args, **kwargs):
         raise AssertionError("ran before the output path was checked")
 
-    for name in ("run_verify", "run_twin", "run_pitfall_demo", "analyze"):
+    for name in ("run_verify", "run_twin", "run_pitfall_demo", "_analyses"):
         monkeypatch.setattr(eakf.cli, name, not_reached)
 
 

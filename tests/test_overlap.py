@@ -138,11 +138,17 @@ def test_the_worker_error_reaches_the_caller(monkeypatch):
 
 @pytest.mark.parametrize("path", [SERIAL, OVERLAPPED])
 def test_the_svd_error_comes_before_the_worker_error(monkeypatch, path):
-    # with both halves failing, the error is svd_full's on either path
+    # with both halves failing (svd_full, and H of the wrong width), the
+    # error is svd_full's on either path
     forced(monkeypatch, path)
-    ens = ForecastEnsemble(np.zeros((0, 3)))
+
+    def failing(z):
+        raise ValueError("svd_full: forced failure")
+
+    monkeypatch.setattr(eakf.update, "svd_full", failing)
+    ens = ForecastEnsemble(np.ones((4, 3)))
     obs = ObservationModel(np.ones((2, 5)), [1.0, 1.0], [0.0, 0.0])
-    with pytest.raises(ValueError, match="^svd_full: empty matrix$"):
+    with pytest.raises(ValueError, match="^svd_full: forced failure$"):
         analyze(ens, obs)
 
 

@@ -23,7 +23,6 @@ from eakf.instances import (
     ZERO_SPREAD,
 )
 from eakf.twin import TwinConfig, run_twin
-from eakf.update import AnalysisResult
 from eakf.verify import VerifyConfig, run_verify
 
 # (rank_deficient, partial_obs, zero_h) and the categories of a 7-trial sweep
@@ -86,21 +85,18 @@ def test_verify_summary_is_derived_from_trials(monkeypatch):
     # trials 5 and 9 are generic. Trial 5's analysis has twice the spread,
     # four times the covariance; trial 9's Woodbury route is 1.5 times its
     # covariance, so that route, not the reduced one, gives the chain's max.
-    analyze, woodbury = eakf.verify.analyze, eakf.verify.posterior_cov_woodbury
-    analyses, woodburys = [], []
+    transform, woodbury = eakf.verify.adjustment_matrix, eakf.verify.posterior_cov_woodbury
+    transforms, woodburys = [], []
 
-    def one_wrong_analyze(ens, obs):
-        analyses.append(None)
-        result = analyze(ens, obs)
-        if len(analyses) == 6:
-            return AnalysisResult(mean=result.mean, perturbations=2.0 * result.perturbations)
-        return result
+    def one_wrong_transform(svd, eig):
+        transforms.append(None)
+        return transform(svd, eig) * (2.0 if len(transforms) == 6 else 1.0)
 
     def one_wrong_woodbury(pert, obs):
         woodburys.append(None)
         return woodbury(pert, obs) * (1.5 if len(woodburys) == 10 else 1.0)
 
-    monkeypatch.setattr(eakf.verify, "analyze", one_wrong_analyze)
+    monkeypatch.setattr(eakf.verify, "adjustment_matrix", one_wrong_transform)
     monkeypatch.setattr(eakf.verify, "posterior_cov_woodbury", one_wrong_woodbury)
     report = run_verify(verify_config(25, (True, True, True), seed=3))
     trials = report["trials"]

@@ -25,6 +25,7 @@ from eakf.update import (
     kalman_gain,
     project_observations,
 )
+from eakf.verify import VerifyConfig, run_verify
 
 
 def scalar_case():
@@ -154,12 +155,14 @@ def test_each_analysis_factors_z_once(monkeypatch, run, svds, numpy_svds):
     [
         (lambda inst: analyze(inst.ensemble, inst.observation), 2),
         (lambda inst: kalman_gain(inst.ensemble, inst.observation), 2),
+        (lambda inst: run_pitfall_demo(0), 4),
     ],
-    ids=["analyze", "kalman_gain"],
+    ids=["analyze", "kalman_gain", "run_pitfall_demo"],
 )
 def test_whitenings_per_analysis(monkeypatch, run, whitenings):
     # both whiten H Z once; analyze whitens the innovation for the mean and
-    # kalman_gain its (p, k) right-hand sides, and neither does both
+    # kalman_gain its (p, k) right-hand sides, and neither does both. The
+    # pitfall demo takes one mean per instance, which both cuts share
     calls, whiten = [], ObservationModel.whiten
 
     def counted(self, *args, **kwargs):
@@ -207,6 +210,13 @@ def test_pitfall_demo_builds_one_z_per_instance(monkeypatch):
     monkeypatch.setattr(PerturbationMatrix, "__post_init__", counted)
     run_pitfall_demo(0)
     assert len(calls) == 2
+
+
+def test_verify_builds_one_z_per_trial(monkeypatch):
+    # the analysis and every oracle route of a trial read one Z
+    zs = counted_calls(monkeypatch, PerturbationMatrix, "__post_init__")
+    run_verify(VerifyConfig(trials=10, seed=3))
+    assert len(zs) == 10
 
 
 def test_kalman_gain_scalar():
@@ -345,10 +355,10 @@ def test_an_index_past_the_state_keeps_its_error_when_p_equals_n():
 
 
 def test_an_empty_state_keeps_its_error():
-    # no index, no variance: nothing to permute, and the general path refuses Z
-    ens = ForecastEnsemble(np.zeros((0, 3)))
-    with pytest.raises(ValueError, match="^svd_full: empty matrix$"):
-        analyze(ens, ObservationModel(np.arange(0), np.zeros(0), []))
+    # refused where it enters, not deep in the analysis
+    refused = r"^members: need at least one state variable \(row\), got shape \(0, 3\)$"
+    with pytest.raises(ValueError, match=refused):
+        ForecastEnsemble(np.zeros((0, 3)))
 
 
 def test_permuted_analysis_does_not_depend_on_the_lapack_signs(monkeypatch):
