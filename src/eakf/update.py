@@ -43,27 +43,10 @@ When ``H`` observes each state variable exactly once, given as state
 indices, and ``R`` is one variance repeated (every cycle of
 :mod:`eakf.twin`), both factors come from one reduction of ``Z``, and ``Y``
 is never formed; :func:`eakf.linalg._permuted_eig` says why that is exact.
-Every other input takes the general path, bit for bit.
-
-The factorization of ``Z`` and the projection ``Y`` with ``H x_f`` depend
-on ``Z`` alone, not on each other. For a matrix ``H`` with ``p n m`` at
-least :data:`_OVERLAP_MIN_WORK` (``2**22``) the projection runs on one
-persistent worker thread while the caller's thread runs
-:func:`eakf.linalg.svd_full`; numpy releases the GIL in the BLAS and LAPACK
-calls, so the two proceed in parallel. Otherwise (state indices, a smaller
-problem) the same calls run one after the other on the caller's thread.
-The choice assumes one BLAS thread, so that a second CPU is free, as in the
-benchmark; at ``(1000, 40, 250)`` the overlap took 2-3% longer than the
-serial path on one CPU, and 1-5% with OpenBLAS's own threads on two. The worker
-returns ``H x_f`` unwhitened, and the caller whitens the innovation after
-the join, so each analysis whitens as often on either path. Both paths make
-the same calls on the same arrays, and a BLAS or LAPACK kernel gives the
-same bits on whichever thread calls it, so the paths give the same bits.
-An error is raised in the serial order: ``svd_full``'s first, else the
-projection's, unchanged. The worker runs only private functions and
-:class:`ObservationModel` methods, in the caller's context (its
-``np.errstate``). It is started on first use; a forked child drops its
-parent's worker and starts its own.
+Every other input takes the general path: :func:`eakf.linalg.svd_full`,
+then :func:`project_observations` and ``H x_f``. Both paths run on the
+caller's thread; the package starts no thread, so any parallelism is the
+BLAS library's own.
 
 Two implementation details decide whether this is exact or silently wrong:
 
@@ -82,9 +65,6 @@ Two implementation details decide whether this is exact or silently wrong:
 
 from __future__ import annotations
 
-import contextvars
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -93,18 +73,6 @@ import numpy as np
 from ._arrays import _all_finite, _as_float64, center_rows, require_centered
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
 from .linalg import OrderedEigen, SvdFactors, _permuted_eig, ordered_eig_psd, svd_full
-
-# Smallest p * n * m (the multiply-adds of H Z) for which a matrix H is
-# applied on the worker thread while Z is factored. Measured with one BLAS
-# thread on a 2-CPU machine at m = 40, the overlap was 4-6% slower at
-# p n m = 2.0e6 and 2.5e6 with n = 500 and 5% faster at 2.4e6 with
-# n = 1000, 0-6% faster at 4e6 and 8-19% faster from 6e6 to 2e7: the
-# thread hand-off only pays when H Z is large.
-_OVERLAP_MIN_WORK = 2**22
-
-_worker = None  # the ThreadPoolExecutor, made on first use
-_worker_lock = threading.Lock()
-
 
 @dataclass(frozen=True, init=False)
 class AnalysisResult:
@@ -178,21 +146,6 @@ def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.
     return obs.whiten(obs.apply(pert.matrix))
 
 
-def _observed(z: np.ndarray, mean: np.ndarray, obs: ObservationModel):
-    """``Y = inv(L) H Z`` and the unwhitened ``H x_f``.
-
-    It runs on the worker thread, so it calls :class:`ObservationModel`
-    methods and no public function of the package: ``bench/tracer.py`` keeps
-    one span stack for all threads. An ``H x_f`` that overflows is not
-    warned about: with no observed spread (``k = 0``) the mean never reads
-    it, and otherwise its ``inf`` makes the mean non-finite, which
-    :class:`AnalysisResult` refuses. An overflow in ``H Z`` still warns.
-    """
-    y = obs.whiten(obs.apply(z))
-    with np.errstate(over="ignore"):
-        return y, obs.apply(mean)
-
-
 def _permutes(obs: ObservationModel, n: int) -> bool:
     """Whether ``H`` observes each of the ``n`` state variables once, as indices, with one variance.
 
@@ -204,36 +157,11 @@ def _permutes(obs: ObservationModel, n: int) -> bool:
     op, cov = obs.operator, obs.covariance
     if op.ndim != 1 or op.size != n or cov.ndim != 1 or not np.logical_and.reduce(cov == cov[0]):
         return False
-    # n counts of one use up all n indices, so none is left to fall past n - 1
+    # bincount allocates up to the largest index, so an index past n - 1 is
+    # answered first; n counts of one then use up all n indices
+    if np.maximum.reduce(op) >= n:
+        return False
     return bool(np.logical_and.reduce(np.bincount(op, minlength=n) == 1))
-
-
-def _overlaps(z: np.ndarray, obs: ObservationModel) -> bool:
-    """Whether ``H`` is applied on the worker while ``Z`` is factored."""
-    op = obs.operator
-    return op.ndim == 2 and op.size * z.shape[1] >= _OVERLAP_MIN_WORK
-
-
-def _executor():
-    """The one worker thread, started on first use."""
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="eakf-projection")
-        return _worker
-
-
-def _forget_executor() -> None:
-    # A forked child has only the thread that forked: the parent's worker,
-    # and a lock another thread may have held, do not carry over.
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_executor)
 
 
 def _gain_weights(g: np.ndarray) -> np.ndarray:
@@ -247,28 +175,22 @@ def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
     ``pert`` holds the one ``Z`` of the analysis, ``svd`` is its
     :func:`eakf.linalg.svd_full`, ``eig`` the :func:`eakf.linalg.ordered_eig_psd`
     result for ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T`` and ``hx`` the
-    unwhitened ``H x_f``. ``Y`` and ``hx`` are made on the worker thread
-    while ``svd_full`` runs when :func:`_overlaps` says so, else after it;
-    the calls are the same either way. When :func:`_permutes` says so,
-    ``svd`` and ``eig`` come instead from :func:`eakf.linalg._permuted_eig`.
+    unwhitened ``H x_f``. ``svd_full`` runs before ``Y`` is formed, so its
+    error comes first. When :func:`_permutes` says so, ``svd`` and ``eig``
+    come instead from :func:`eakf.linalg._permuted_eig`, and ``Y`` is not
+    formed. An ``H x_f`` that overflows is not warned about: with no observed
+    spread (``k = 0``) the mean never reads it, and otherwise its ``inf``
+    makes the mean non-finite, which :class:`AnalysisResult` refuses. An
+    overflow in ``H Z`` still warns.
     """
     pert = perturbation_matrix(ens)
     z = pert.matrix
     if _permutes(obs, z.shape[0]):
         return (pert, *_permuted_eig(z, obs.operator, obs.cholesky[0]), obs.apply(ens.mean))
-    if not _overlaps(z, obs):
-        svd = svd_full(z)
-        y, hx = _observed(z, ens.mean, obs)
-    else:
-        # in the caller's context, so that its np.errstate holds on the worker
-        future = _executor().submit(contextvars.copy_context().run, _observed, z, ens.mean, obs)
-        try:
-            svd = svd_full(z)
-        except BaseException:
-            # the serial order raises svd_full's error; the worker's is dropped
-            future.exception()
-            raise
-        y, hx = future.result()
+    svd = svd_full(z)
+    y = project_observations(pert, obs)
+    with np.errstate(over="ignore"):
+        hx = obs.apply(ens.mean)
     return pert, svd, ordered_eig_psd(y, svd), hx
 
 

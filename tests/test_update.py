@@ -1,4 +1,7 @@
 import dataclasses
+import subprocess
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -271,6 +274,112 @@ def test_an_overflowing_observed_spread_still_warns(run):
             run(ens, obs)
 
 
+# ---------------------------------------------------------- the general path
+
+
+def dense_problem(n, m, p, seed=0):
+    rng = np.random.default_rng(seed)
+    ens = ForecastEnsemble(rng.standard_normal((n, m)))
+    obs = ObservationModel(rng.standard_normal((p, n)) / np.sqrt(n), rng.uniform(0.5, 2.0, p), rng.standard_normal(p))
+    return ens, obs
+
+
+def test_the_svd_error_comes_before_the_projection_error(monkeypatch):
+    # with both failing (svd_full, and an H of the wrong width), the error is svd_full's
+    def failing(z):
+        raise ValueError("svd_full: forced failure")
+
+    monkeypatch.setattr(eakf.update, "svd_full", failing)
+    ens = ForecastEnsemble(np.ones((4, 3)))
+    obs = ObservationModel(np.ones((2, 5)), [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="^svd_full: forced failure$"):
+        analyze(ens, obs)
+
+
+def test_a_projection_error_reaches_the_caller():
+    ens, _ = dense_problem(6, 4, 3)
+    obs = ObservationModel(np.ones((3, 7)), [1.0, 1.0, 1.0], [0.0, 0.0, 0.0])
+    for run in (analyze, kalman_gain, misordered_analysis):
+        with pytest.raises(ValueError, match="^observation operator has 7 state columns, expected 6$"):
+            run(ens, obs)
+
+
+def test_the_callers_errstate_holds():
+    # whitening overflows; under the caller's errstate that does not warn (a
+    # warning is an error in this suite), and the infinite Y is refused
+    ens = ForecastEnsemble(np.array([[1e200, -1e200, 0.0], [1.0, 2.0, 3.0]]))
+    obs = ObservationModel(np.array([[1.0, 1.0]]), [1e-300], [0.0])
+    refused = "^ordered_eig_psd input: entries must be finite"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=refused):
+        analyze(ens, obs)
+
+
+def test_concurrent_callers_get_the_bits_of_their_own_problem():
+    # more callers than CPUs, switching threads often: the package keeps no
+    # state between analyses, so each caller gets the bits of its own problem
+    problems = [dense_problem(40, 8, 20, seed=seed) for seed in range(4)]
+    expected = [analyze(*problem) for problem in problems]
+    same = []
+
+    def caller(index):
+        for _ in range(25):
+            result = analyze(*problems[index])
+            same.append(np.array_equal(result.perturbations, expected[index].perturbations))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(index,)) for index in range(len(problems))]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert same == [True] * 100
+
+
+THREAD_COUNTS = """
+import sys
+import threading
+
+before = threading.active_count()
+import numpy as np
+import eakf
+
+counts = [threading.active_count()]
+eakf.run_twin(eakf.TwinConfig(steps=3, n=200, m=40, seed=0))
+counts.append(threading.active_count())
+rng = np.random.default_rng(0)
+n, m, p = 1000, 40, 250
+ens = eakf.ForecastEnsemble(rng.standard_normal((n, m)))
+obs = eakf.ObservationModel(rng.standard_normal((p, n)) / np.sqrt(n), rng.uniform(0.5, 2.0, p), rng.standard_normal(p))
+eakf.analyze(ens, obs)
+eakf.kalman_gain(ens, obs)
+counts.append(threading.active_count())
+# scipy, which the verify oracle loads, imports concurrent.futures itself
+imported = "concurrent.futures" in sys.modules
+eakf.run_verify(eakf.VerifyConfig(50, 0, True, True, True))
+counts.append(threading.active_count())
+n, m, p = 20000, 40, 1000
+ens = eakf.ForecastEnsemble(rng.standard_normal((n, m)))
+obs = eakf.ObservationModel(rng.choice(n, p, replace=False), rng.uniform(0.5, 2.0, p), rng.standard_normal(p))
+eakf.analyze(ens, obs)
+counts.append(threading.active_count())
+print(imported, before, *counts)
+"""
+
+
+def test_no_analysis_starts_a_thread():
+    # nor imports concurrent.futures before the verify oracle loads scipy:
+    # a twin run, a dense H at (1000, 40, 250), verify and state indices
+    proc = subprocess.run([sys.executable, "-c", THREAD_COUNTS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported, *counts = proc.stdout.split()
+    assert imported == "False" and len(counts) == 6 and set(counts) == {counts[0]}, proc.stdout
+
+
 # --------------------------------- each state variable observed once, one variance
 
 
@@ -351,6 +460,17 @@ def test_an_index_past_the_state_keeps_its_error_when_p_equals_n():
     obs = ObservationModel([0, 1, 2, 4], np.ones(4), np.zeros(4))
     for run in (analyze, kalman_gain):
         with pytest.raises(ValueError, match="^observation operator index 4 out of range for state dimension 4$"):
+            run(ens, obs)
+
+
+@pytest.mark.parametrize("covariance", [np.ones(2), np.array([1.0, 2.0])], ids=["one-variance", "two-variances"])
+def test_a_huge_index_keeps_its_error(covariance):
+    # the permutation test must not count indices up to 2**50 (8 PiB)
+    ens = ForecastEnsemble(np.random.default_rng(12).standard_normal((2, 4)))
+    obs = ObservationModel(np.array([0, 2**50]), covariance, np.zeros(2))
+    message = f"^observation operator index {2**50} out of range for state dimension 2$"
+    for run in (analyze, kalman_gain):
+        with pytest.raises(ValueError, match=message):
             run(ens, obs)
 
 
