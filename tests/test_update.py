@@ -284,7 +284,13 @@ def dense_problem(n, m, p, seed=0):
     return ens, obs
 
 
-def test_the_svd_error_comes_before_the_projection_error(monkeypatch):
+ENTRIES = pytest.mark.parametrize(
+    "run", [analyze, kalman_gain, misordered_analysis], ids=["analyze", "kalman_gain", "misordered_analysis"]
+)
+
+
+@ENTRIES
+def test_the_svd_error_comes_before_the_projection_error(monkeypatch, run):
     # with both failing (svd_full, and an H of the wrong width), the error is svd_full's
     def failing(z):
         raise ValueError("svd_full: forced failure")
@@ -293,7 +299,7 @@ def test_the_svd_error_comes_before_the_projection_error(monkeypatch):
     ens = ForecastEnsemble(np.ones((4, 3)))
     obs = ObservationModel(np.ones((2, 5)), [1.0, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="^svd_full: forced failure$"):
-        analyze(ens, obs)
+        run(ens, obs)
 
 
 def test_a_projection_error_reaches_the_caller():
@@ -304,14 +310,32 @@ def test_a_projection_error_reaches_the_caller():
             run(ens, obs)
 
 
-def test_the_callers_errstate_holds():
+@ENTRIES
+def test_the_callers_errstate_holds(run):
     # whitening overflows; under the caller's errstate that does not warn (a
     # warning is an error in this suite), and the infinite Y is refused
     ens = ForecastEnsemble(np.array([[1e200, -1e200, 0.0], [1.0, 2.0, 3.0]]))
     obs = ObservationModel(np.array([[1.0, 1.0]]), [1e-300], [0.0])
     refused = "^ordered_eig_psd input: entries must be finite"
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=refused):
-        analyze(ens, obs)
+        run(ens, obs)
+
+
+@pytest.mark.parametrize("run", [analyze, kalman_gain], ids=["analyze", "kalman_gain"])
+def test_y_is_whitened_first_on_the_callers_thread(monkeypatch, run):
+    # H Z is whitened into Y before the innovation (analyze) or the gain's
+    # right-hand sides (kalman_gain), and both on the thread that called
+    ens, obs = dense_problem(30, 8, 12)
+    calls, whiten = [], ObservationModel.whiten
+
+    def counted(self, a, *args, **kwargs):
+        calls.append((threading.current_thread(), np.shape(a)))
+        return whiten(self, a, *args, **kwargs)
+
+    monkeypatch.setattr(ObservationModel, "whiten", counted)
+    run(ens, obs)
+    assert len(calls) == 2 and calls[0][1] == (12, 8) and calls[1][1] != (12, 8)
+    assert all(thread is threading.current_thread() for thread, _ in calls)
 
 
 def test_concurrent_callers_get_the_bits_of_their_own_problem():
