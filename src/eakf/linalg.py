@@ -23,8 +23,9 @@ partially observed ensembles. ``S`` itself is never formed: its eigenvalues
 are the squared singular values of ``Y``, so they keep the accuracy of ``Y``
 instead of the squared conditioning of an explicit Gram matrix. When ``Y``
 is ``Z`` with its rows permuted, over one ``sigma``, ``_permuted_eig`` reads
-both decompositions off one reduction of ``Z`` instead; ``svd_full`` runs
-the same reduction without forming its left factor.
+both decompositions, and the projection of the whitened innovation that the
+mean needs, off one reduction of ``[Z | innovation]`` instead; neither it nor
+``svd_full`` forms an ``n``-row factor.
 
 Both routines fix the sign LAPACK leaves free in each singular pair by one
 pivot rule on the columns of their right factors, so those factors, and the
@@ -108,12 +109,13 @@ class OrderedEigen:
     of the ``(p, m)`` factor ``Y``; ``values`` is descending, zero past ``k``.
     When produced by :func:`ordered_eig_psd` the trailing columns of
     ``vectors`` are exactly the supplied null-space basis, which is what the
-    analysis update relies on.
+    analysis update relies on. ``obs_vectors`` is ``None`` when the left
+    factor was not formed (:func:`_permuted_eig`).
     """
 
     vectors: np.ndarray
     values: np.ndarray
-    obs_vectors: np.ndarray
+    obs_vectors: np.ndarray | None
 
     def __post_init__(self):
         m = self.vectors.shape[0]
@@ -121,7 +123,8 @@ class OrderedEigen:
             raise ValueError("OrderedEigen: vectors must be square")
         if self.values.shape != (m,):
             raise ValueError("OrderedEigen: values length must match vectors")
-        if self.obs_vectors.ndim != 2 or self.obs_vectors.shape[1] > m:
+        obs = self.obs_vectors
+        if obs is not None and (obs.ndim != 2 or obs.shape[1] > m):
             raise ValueError("OrderedEigen: obs_vectors must have at most m columns")
         values = self.values
         # asserted, not refuted, so that a NaN fails them
@@ -139,7 +142,7 @@ def svd_full(matrix) -> SvdFactors:
     ``Z`` and ``R`` share their singular values and right factor, so no
     ``n``-row factor is formed (Chan's R-SVD). The QR costs ``O(n m^2)``
     time for ``n >= m``, the SVD of ``R`` ``O(m^3)``. :func:`_permuted_eig`
-    runs the same reduction with ``Q`` formed, for the left factor.
+    runs the same reduction with one more column, the whitened innovation.
 
     Parameters
     ----------
@@ -161,43 +164,59 @@ def svd_full(matrix) -> SvdFactors:
     return _r_svd(arr)[0]
 
 
-def _r_svd(z: np.ndarray, basis: bool = False) -> tuple[SvdFactors, np.ndarray | None]:
-    """The R-SVD of a nonempty ``(n, m)`` matrix ``Z = Q R``, ``R = U_R Sig V.T``.
+def _r_svd(z: np.ndarray, rhs: np.ndarray | None = None) -> tuple[SvdFactors, np.ndarray | None]:
+    """The R-SVD of a nonempty ``(n, m)`` matrix ``Z = Q R``, ``R = U_R Sig V.T``; ``Q`` is not formed.
 
-    Returns the :class:`SvdFactors` of ``Z`` and, if ``basis``, the leading
-    ``rank`` columns of ``Q U_R``, each flipped with the pivot sign of its
-    column of ``V`` so that ``Z = (Q U_R) Sig V.T`` still holds for the
-    signed factors; otherwise ``None``, and ``Q`` is not formed.
+    Returns the :class:`SvdFactors` of ``Z`` and, given a right-hand side
+    ``rhs`` of shape ``(n,)`` or ``(n, k)``, its projection
+    ``(Q U_R[:, :rank]).T @ rhs``, each row flipped with the pivot sign of
+    its column of ``V`` so that ``Z = (Q U_R) Sig V.T`` still holds for the
+    signed factors; otherwise ``None``. ``rhs`` rides along as extra columns
+    of the QR, whose triangle is ``[R | Q.T rhs]`` in its leading
+    ``min(n, m)`` rows (Björck 1996, §2.4).
     """
-    q, triangle = np.linalg.qr(z) if basis else (None, np.linalg.qr(z, mode="r"))
-    # The triangle has at most m rows, so its full SVD gives the (m, m)
-    # right factor and a left factor of at most (m, m).
-    left, s, vt = np.linalg.svd(triangle)
+    m = z.shape[1]
+    triangle = np.linalg.qr(z if rhs is None else np.column_stack([z, rhs]), mode="r")
+    # R has at most m rows, so its full SVD gives the (m, m) right factor
+    # and a left factor of at most (m, m).
+    rows = min(z.shape)
+    left, s, vt = np.linalg.svd(triangle[:rows, :m])
     rank = int(np.count_nonzero(s > RANK_TOL * float(s[0]) * max(z.shape)))
     # vt is a fresh array: sign it in place instead of copying
     right = vt.T
     signs = _pivot_signs(right)
-    u = q @ (left[:, :rank] * signs[:rank]) if basis else None
-    return SvdFactors(singular_values=s[:rank], right=right), u
+    svd = SvdFactors(singular_values=s[:rank], right=right)
+    if rhs is None:
+        return svd, None
+    projected = triangle[:rows, m:] if rhs.ndim == 2 else triangle[:rows, m]
+    return svd, (left[:, :rank] * signs[:rank]).T @ projected
 
 
-def _permuted_eig(z: np.ndarray, rows: np.ndarray, sigma: float) -> tuple[SvdFactors, OrderedEigen]:
-    """``svd_full(Z)`` and ``ordered_eig_psd(Z[rows] / sigma, svd_full(Z))`` from one reduction.
+def _permuted_eig(
+    z: np.ndarray, rows: np.ndarray, sigma: float, innovation: np.ndarray
+) -> tuple[SvdFactors, OrderedEigen, np.ndarray]:
+    """The factors of ``Z`` and of ``Y = Z[rows] / sigma``, and ``U_W.T innovation``, from one QR.
 
-    ``rows`` is a permutation ``P`` of ``range(n)`` and ``sigma`` positive.
-    With ``Z = (Q U_R) Sig V.T`` from :func:`_r_svd`,
+    ``rows`` is a permutation ``P`` of ``range(n)``, ``sigma`` positive and
+    ``innovation`` an ``(n,)`` vector in observation order. With
+    ``Z = (Q U_R) Sig V.T`` from :func:`_r_svd`,
     ``Y = P Z / sigma = (P Q U_R) diag(Sig / sigma) V.T`` is already an SVD
     of ``Y``: ``vectors`` is ``V``, with the null space last by
-    construction, ``values`` is ``(Sig_r / sigma)**2`` and ``obs_vectors``
-    is ``P Q U_R[:, :r]`` (``Q_W = I``). No SVD of ``Y`` is taken, and
-    ``Y B_null``, ``Z``'s own residue below the rank cut over ``sigma``,
-    needs no check. ``values`` agree with ``ordered_eig_psd``'s to rounding,
-    and the trailing ``m - r`` columns of ``vectors`` exactly.
+    construction, ``values`` is ``(Sig_r / sigma)**2`` and
+    ``U_W = P Q U_R[:, :r]`` (``Q_W = I``). ``U_W`` is not formed
+    (``obs_vectors`` is ``None``): ``U_W.T innovation = (Q U_R[:, :r]).T e``,
+    ``e[rows] = innovation``, rides along in the QR of ``[Z | e]``. No SVD
+    of ``Y`` is taken, and ``Y B_null``, ``Z``'s own residue below the rank
+    cut over ``sigma``, needs no check. ``values``, and the trailing
+    ``m - r`` columns of ``vectors``, agree with ``ordered_eig_psd``'s to
+    rounding.
     """
-    svd, left = _r_svd(z, basis=True)
+    state_order = np.empty_like(innovation)
+    state_order[rows] = innovation
+    svd, projection = _r_svd(z, state_order)
     values = np.zeros(z.shape[1])
     np.square(svd.singular_values / sigma, out=values[: svd.rank])
-    return svd, OrderedEigen(vectors=svd.right, values=values, obs_vectors=left[rows])
+    return svd, OrderedEigen(vectors=svd.right, values=values, obs_vectors=None), projection
 
 
 def _pivot_signs(columns: np.ndarray) -> np.ndarray:

@@ -41,12 +41,14 @@ of which ``Z`` takes one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and
 
 When ``H`` observes each state variable exactly once, given as state
 indices, and ``R`` is one variance repeated (every cycle of
-:mod:`eakf.twin`), both factors come from one reduction of ``Z``, and ``Y``
-is never formed; :func:`eakf.linalg._permuted_eig` says why that is exact.
-Every other input takes the general path: :func:`eakf.linalg.svd_full`,
-then :func:`project_observations` and ``H x_f``. Both paths run on the
-caller's thread; the package starts no thread, so any parallelism is the
-BLAS library's own.
+:mod:`eakf.twin`), both factors, and the ``r`` numbers ``U_W.T inv(L) d``
+the mean reads, come from one QR of ``Z`` with the whitened innovation
+appended as one more column; neither ``Y`` nor the QR's ``Q`` is formed.
+:func:`eakf.linalg._permuted_eig` says why that is exact. Every other input,
+and :func:`kalman_gain` for every input, takes the general path:
+:func:`eakf.linalg.svd_full`, then :func:`project_observations` and
+``H x_f``. Both paths run on the caller's thread; the package starts no
+thread, so any parallelism is the BLAS library's own.
 
 Two implementation details decide whether this is exact or silently wrong:
 
@@ -169,29 +171,16 @@ def _gain_weights(g: np.ndarray) -> np.ndarray:
     return np.sqrt(g) / (1.0 + g)
 
 
-def _analysis_factors(ens: ForecastEnsemble, obs: ObservationModel):
-    """The factors every analysis reads: ``(pert, svd, eig, hx)``.
+def _analysis_factors(pert: PerturbationMatrix, obs: ObservationModel) -> tuple[SvdFactors, OrderedEigen]:
+    """The general path's factors of ``Z = pert.matrix``: ``(svd, eig)``.
 
-    ``pert`` holds the one ``Z`` of the analysis, ``svd`` is its
-    :func:`eakf.linalg.svd_full`, ``eig`` the :func:`eakf.linalg.ordered_eig_psd`
-    result for ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T`` and ``hx`` the
-    unwhitened ``H x_f``. ``svd_full`` runs before ``Y`` is formed, so its
-    error comes first. When :func:`_permutes` says so, ``svd`` and ``eig``
-    come instead from :func:`eakf.linalg._permuted_eig`, and ``Y`` is not
-    formed. An ``H x_f`` that overflows is not warned about: with no observed
-    spread (``k = 0``) the mean never reads it, and otherwise its ``inf``
-    makes the mean non-finite, which :class:`AnalysisResult` refuses. An
-    overflow in ``H Z`` still warns.
+    ``svd`` is :func:`eakf.linalg.svd_full` of ``Z`` and ``eig`` the
+    :func:`eakf.linalg.ordered_eig_psd` result for
+    ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T``. ``svd_full`` runs before
+    ``Y`` is formed, so its error comes first.
     """
-    pert = perturbation_matrix(ens)
-    z = pert.matrix
-    if _permutes(obs, z.shape[0]):
-        return (pert, *_permuted_eig(z, obs.operator, obs.cholesky[0]), obs.apply(ens.mean))
-    svd = svd_full(z)
-    y = project_observations(pert, obs)
-    with np.errstate(over="ignore"):
-        hx = obs.apply(ens.mean)
-    return pert, svd, ordered_eig_psd(y, svd), hx
+    svd = svd_full(pert.matrix)
+    return svd, ordered_eig_psd(project_observations(pert, obs), svd)
 
 
 def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
@@ -199,10 +188,13 @@ def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
 
     ``K = Z C[:, :k] diag(s / (1 + s**2)) U_W.T inv(L)``: one whitening of
     ``(p, k)`` right-hand sides (a triangular solve, or a row scale for a
-    diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it;
-    its factors are :func:`analyze`'s, ``H x_f`` formed and dropped.
+    diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it.
+    It takes the general path for every ``H``, as it needs ``U_W`` itself:
+    carrying the whitened identity through the permutation path's QR would
+    cost ``O(n (m + n)^2)``.
     """
-    pert, _, eig, _ = _analysis_factors(ens, obs)
+    pert = perturbation_matrix(ens)
+    _, eig = _analysis_factors(pert, obs)
     k = eig.obs_vectors.shape[1]
     # (U_W D).T inv(L) = (inv(L).T U_W D).T
     whitened = obs.whiten(eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
@@ -233,18 +225,33 @@ def adjustment_matrix(svd: SvdFactors, eig: OrderedEigen) -> np.ndarray:
 def _analyses(ens: ForecastEnsemble, obs: ObservationModel, *transforms):
     """The forecast ``PerturbationMatrix`` and one analysis per transform.
 
-    One :func:`_analysis_factors` call and one Kalman mean serve every
-    ``transform`` (:func:`adjustment_matrix`, or the pitfall's cut in
-    :mod:`eakf.demo`), whose perturbations are ``Z @ transform(svd, eig)``.
-    The perturbation update only constrains the covariance; the mean is the
-    standard Kalman mean ``mean + K (y - H mean)``, without forming ``K``:
+    One factorization of ``Z`` and one Kalman mean serve every ``transform``
+    (:func:`adjustment_matrix`, or the pitfall's cut in :mod:`eakf.demo`),
+    whose perturbations are ``Z @ transform(svd, eig)``. The perturbation
+    update only constrains the covariance; the mean is the standard Kalman
+    mean ``mean + K (y - H mean)``, without forming ``K``:
     ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
     the innovation and an ``m``-vector of weights. Judge on the ``Z`` returned.
+
+    When :func:`_permutes` says so, :func:`eakf.linalg._permuted_eig` gives
+    the factors and ``U_W.T inv(L) d``; ``H x_f``, a gather ``_permutes``
+    has range-checked, comes first and moves no error. Otherwise
+    :func:`_analysis_factors` gives them, then ``H x_f``, which is not
+    warned about on overflow: with no observed spread (``k = 0``) the mean
+    never reads it, and otherwise its ``inf`` makes the mean non-finite,
+    which :class:`AnalysisResult` refuses. An overflow in ``H Z`` still warns.
     """
-    pert, svd, eig, hx = _analysis_factors(ens, obs)
-    k = eig.obs_vectors.shape[1]
-    innovation = obs.whiten(obs.observation - hx)
-    weights = _gain_weights(eig.values[:k]) * (eig.obs_vectors.T @ innovation)
+    pert = perturbation_matrix(ens)
+    if _permutes(obs, pert.state_dim):
+        innovation = obs.whiten(obs.observation - obs.apply(ens.mean))
+        svd, eig, projection = _permuted_eig(pert.matrix, obs.operator, obs.cholesky[0], innovation)
+    else:
+        svd, eig = _analysis_factors(pert, obs)
+        with np.errstate(over="ignore"):
+            hx = obs.apply(ens.mean)
+        projection = eig.obs_vectors.T @ obs.whiten(obs.observation - hx)
+    k = projection.size
+    weights = _gain_weights(eig.values[:k]) * projection
     mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
     results = []
     for transform in transforms:

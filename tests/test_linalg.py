@@ -316,34 +316,47 @@ PERMUTED_CASES = {
 @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("case", PERMUTED_CASES)
 def test_permuted_eig_is_ordered_eig_psd_of_the_permuted_rows(case, sigma):
+    # [Z | e] is reduced, not Z: its triangle agrees with svd_full's only to
+    # rounding, so the factors are checked against Z, not against its bits
     rng = np.random.default_rng(list(PERMUTED_CASES).index(case))
     z = PERMUTED_CASES[case](rng)
     rows = rng.permutation(z.shape[0])
     y = z[rows] / sigma
-    svd, eig = _permuted_eig(z, rows, sigma)
-    general = svd_full(z)
-    reference = ordered_eig_psd(y, general)
-    assert_identical(svd.singular_values, general.singular_values)
-    assert_identical(svd.right, general.right)
+    rhs = rng.standard_normal(z.shape[0])
+    svd, eig, projection = _permuted_eig(z, rows, sigma, rhs)
+    reference = ordered_eig_psd(y, svd_full(z))
+    assert_factors_of(svd, z)
     np.testing.assert_allclose(eig.values, reference.values, rtol=1e-13, atol=0.0)
+    assert_identical(eig.vectors, svd.right)
+    assert eig.obs_vectors is None
+    # (Y B).T rhs = diag(s) U_W.T rhs
     r = svd.rank
-    assert_identical(eig.vectors[:, r:], reference.vectors[:, r:])
-    u_w = eig.obs_vectors
-    assert u_w.shape == (z.shape[0], r)
-    np.testing.assert_allclose(u_w.T @ u_w, np.eye(r), rtol=0.0, atol=1e-14)
-    # Y B = U_W diag(s)
-    scale = max(np.linalg.norm(y), 1e-300)
-    assert np.linalg.norm(y @ svd.row_space_basis() - u_w * np.sqrt(eig.values[:r])) <= 1e-14 * scale
+    assert projection.shape == (r,)
+    scale = max(np.linalg.norm(y) * np.linalg.norm(rhs), 1e-300)
+    residual = (y @ svd.row_space_basis()).T @ rhs - np.sqrt(eig.values[:r]) * projection
+    assert np.linalg.norm(residual) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("columns", [(), (3,)], ids=["vector", "three-columns"])
 @pytest.mark.parametrize("case", PERMUTED_CASES)
-def test_the_reduction_gives_one_svd_with_or_without_the_basis(case):
-    z = PERMUTED_CASES[case](np.random.default_rng(7))
+def test_the_reduction_projects_a_right_hand_side_without_q(case, columns):
+    rng = np.random.default_rng(7)
+    z = PERMUTED_CASES[case](rng)
+    rhs = rng.standard_normal((z.shape[0], *columns))
     alone, none = _r_svd(z)
-    with_basis, _ = _r_svd(z, basis=True)
+    general = svd_full(z)
     assert none is None
-    assert_identical(alone.singular_values, with_basis.singular_values)
-    assert_identical(alone.right, with_basis.right)
+    assert_identical(alone.singular_values, general.singular_values)
+    assert_identical(alone.right, general.right)
+    svd, projection = _r_svd(z, rhs)
+    assert_factors_of(svd, z)
+    # the same projection through Q, formed by a reduced QR of Z alone, with
+    # the U_R = R B / s that pairs with the signed V returned (a repeated
+    # singular value leaves the basis of its subspace free)
+    q, triangle = np.linalg.qr(z)
+    expected = (q @ (triangle @ svd.row_space_basis() / svd.singular_values)).T @ rhs
+    assert projection.shape == expected.shape == (svd.rank, *columns)
+    assert np.linalg.norm(projection - expected) <= 1e-14 * max(np.linalg.norm(expected), 1e-300)
 
 
 def test_ordered_eig_two_member_example():

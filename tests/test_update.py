@@ -21,6 +21,7 @@ from eakf.ensemble import (
 from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import SvdFactors, ordered_eig_psd, pinv_rect_diag, svd_full
 from eakf.oracle import compare_cov, posterior_cov_direct, posterior_cov_woodbury
+from eakf.twin import TwinConfig, run_twin
 from eakf.update import (
     AnalysisResult,
     adjustment_matrix,
@@ -132,7 +133,7 @@ def counted_calls(monkeypatch, owner, name):
         (lambda inst: misordered_analysis(inst.ensemble, inst.observation), 1, 2),
         (lambda inst: run_pitfall_demo(0), 2, 4),
         (lambda inst: analyze(*permuted(inst)), 1, 1),
-        (lambda inst: kalman_gain(*permuted(inst)), 1, 1),
+        (lambda inst: kalman_gain(*permuted(inst)), 1, 2),
         (lambda inst: misordered_analysis(*permuted(inst)), 1, 1),
     ],
     ids=[
@@ -143,8 +144,9 @@ def counted_calls(monkeypatch, owner, name):
 def test_each_analysis_factors_z_once(monkeypatch, run, svds, numpy_svds):
     # each analysis makes one QR of one Z; the pitfall demo runs two
     # instances both ways, one Z and one QR per instance. The general path
-    # takes the SVD of the triangle and that of Y B; an H that observes each
-    # state variable once, with one variance, needs only the first
+    # takes the SVD of the triangle and that of Y B; an analysis whose H
+    # observes each state variable once, with one variance, needs only the
+    # first, while kalman_gain takes the general path for every H
     inst = random_instance(0, "rank_deficient")
     zs = counted_calls(monkeypatch, PerturbationMatrix, "__post_init__")
     qrs = counted_calls(monkeypatch, np.linalg, "qr")
@@ -422,6 +424,12 @@ def _duplicated_member():
     return members
 
 
+def _rank_two():
+    # 6 variables, 10 members, and Z of rank 2 < n
+    rng = np.random.default_rng(17)
+    return rng.standard_normal((6, 2)) @ rng.standard_normal((2, 10))
+
+
 # name: (members, index, variance, whether Z's singular values are distinct)
 PERMUTED_CASES = {
     "arange": (np.random.default_rng(1).standard_normal((6, 8)), np.arange(6), 0.7, True),
@@ -431,6 +439,9 @@ PERMUTED_CASES = {
     "zero-spread": (np.repeat(np.random.default_rng(8).standard_normal((4, 1)), 5, axis=1), np.arange(4), 2.0, True),
     "duplicated-member": (_duplicated_member(), np.arange(5)[::-1], 0.3, True),
     "repeated-singular-values": (_repeated_singular_values(), np.array([2, 0, 1]), 1.5, False),
+    "wide": (np.random.default_rng(14).standard_normal((3, 9)), np.array([1, 2, 0]), 0.4, True),
+    "one-variable": (np.random.default_rng(15).standard_normal((1, 5)), np.arange(1), 2.5, True),
+    "rank-below-n": (_rank_two(), np.random.default_rng(16).permutation(6), 0.8, True),
 }
 
 
@@ -443,8 +454,9 @@ def test_permutation_matches_the_general_path(monkeypatch, case):
     general = analyze(ens, _one_hot(obs, n))
     general_gain = kalman_gain(ens, _one_hot(obs, n))
     eigs = counted_calls(monkeypatch, eakf.update, "ordered_eig_psd")
-    result, gain = analyze(ens, obs), kalman_gain(ens, obs)
+    result = analyze(ens, obs)
     assert not eigs
+    gain = kalman_gain(ens, obs)
     if not np.any(general.perturbations):
         assert not result.perturbations.any() and np.array_equal(result.mean, general.mean)
         np.testing.assert_array_equal(gain, general_gain)
@@ -506,8 +518,9 @@ def test_an_empty_state_keeps_its_error():
 
 
 def test_permuted_analysis_does_not_depend_on_the_lapack_signs(monkeypatch):
-    # the QR of Z may come with any of its rows of R (and columns of Q)
-    # negated, and the SVD of R with any pair negated: Za must not change
+    # the QR of [Z | e] may come with any row of its triangle [R | Q.T e]
+    # negated, the innovation column included, and the SVD of R with any
+    # pair negated: neither Za nor the mean may change
     members = [np.random.default_rng(seed).standard_normal((6, 5)) for seed in range(50)]
     obs = ObservationModel(np.random.default_rng(12).permutation(6), np.full(6, 0.5), np.ones(6))
     expected = [analyze(ForecastEnsemble(x), obs) for x in members]
@@ -519,11 +532,11 @@ def test_permuted_analysis_does_not_depend_on_the_lapack_signs(monkeypatch):
         vt[: s.size : 2] *= -1.0
         return u, s, vt
 
-    def alternate_rows_negated(a, mode="reduced"):
-        q, r = qr(a, mode=mode)
-        q[:, ::2] *= -1.0
+    def alternate_rows_negated(a, mode):
+        assert mode == "r"
+        r = qr(a, mode=mode)
         r[::2] *= -1.0
-        return q, r
+        return r
 
     monkeypatch.setattr(np.linalg, "svd", alternate_pairs_negated)
     monkeypatch.setattr(np.linalg, "qr", alternate_rows_negated)
@@ -532,6 +545,40 @@ def test_permuted_analysis_does_not_depend_on_the_lapack_signs(monkeypatch):
         za = base.perturbations
         assert np.abs(got.perturbations - za).max() <= 1e-14 * np.abs(za).max()
         assert np.abs(got.mean - base.mean).max() <= 1e-14 * np.abs(base.mean).max()
+
+
+@pytest.mark.parametrize("spread", [True, False], ids=["spread", "no-spread"])
+def test_an_overflowing_innovation_warns_and_fails_loudly(spread):
+    # (y - H x_f) / sigma = 1e300 / 1e-10 overflows; with spread the mean
+    # reads it and is refused, without it (k = 0) the mean is the forecast's
+    members = np.random.default_rng(18).standard_normal((4, 6)) if spread else np.zeros((4, 6))
+    ens = ForecastEnsemble(members * 1e-150)
+    obs = ObservationModel(np.array([2, 0, 3, 1]), np.full(4, 1e-20), np.full(4, 1e300))
+    with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+        if spread:
+            with pytest.raises(ValueError, match="^analysis mean or covariance not finite in float64$"):
+                analyze(ens, obs)
+            return
+        result = analyze(ens, obs)
+    _assert_same_bits(result.mean, ens.mean)
+    assert not result.perturbations.any()
+
+
+def test_the_permutation_path_forms_no_q(monkeypatch):
+    # Q.T e rides along in the triangle of [Z | e]; no analysis that takes
+    # the permutation path asks numpy for Q
+    modes, qr = [], np.linalg.qr
+
+    def recorded(a, mode="reduced"):
+        modes.append(mode)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    inst = random_instance(0, "generic")
+    analyze(*permuted(inst))
+    misordered_analysis(*permuted(inst))
+    run_twin(TwinConfig(steps=3, n=20, m=8))
+    assert modes == ["r"] * 5
 
 
 # ---------------------------------------------------------------- adjustment
