@@ -78,9 +78,9 @@ def require_vector(a, name: str = "vector") -> np.ndarray:
 
 
 def _unscaled_norm(a: np.ndarray) -> float:
-    # what np.linalg.norm computes for a real array, without its dispatch
+    # np.linalg.norm of a real array, without its dispatch; vdot, unlike dot, does not warn on overflow
     flat = a.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    return math.sqrt(np.vdot(flat, flat))
 
 
 def frobenius(a: np.ndarray) -> float:
@@ -88,9 +88,8 @@ def frobenius(a: np.ndarray) -> float:
 
     Squares overflow once entries pass about 1e154, and a guard ``x > tol * inf``
     then checks nothing; they lose precision to underflow once the norm falls
-    below ``sqrt(tiny / eps)``, about 1e-146, and read 0 near 1e-162. Only then
-    is the norm recomputed on ``a`` scaled by its largest entry (numpy's
-    overflow warning is left unsuppressed).
+    below ``sqrt(tiny / eps)``, about 1e-146, and read 0 near 1e-162. Only then,
+    and without a warning, is the norm recomputed on ``a`` scaled by its largest entry.
     """
     norm = _unscaled_norm(a)
     # count_nonzero keeps the common exact zero (a centered residual) cheap
@@ -126,6 +125,6 @@ def require_centered(a: np.ndarray, tol: float, message: str) -> None:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    out = a + a.T
-    out *= 0.5
-    return out
+    """``(a + a.T) / 2``, exactly symmetric; halving first (exact above the subnormals) cannot overflow."""
+    half = 0.5 * a
+    return half + half.T

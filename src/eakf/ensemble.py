@@ -125,7 +125,7 @@ class ObservationModel:
     ``covariance`` is a (p, p) matrix, or a length-p vector of variances for
     a diagonal ``R``, which is kept as given and never expanded. A matrix
     must be symmetric to a relative 1e-10 in the Frobenius norm and is then
-    kept symmetrized, as ``(R + R.T) / 2``: a given ``[[2, 1e-12], [0, 3]]``
+    kept symmetrized, as ``R / 2 + R.T / 2``: a given ``[[2, 1e-12], [0, 3]]``
     is stored with 5e-13 on both sides of the diagonal. ``cholesky`` is
     the lower factor ``L`` of ``R = L @ L.T``, computed once at construction
     (which validates positive definiteness): the (p,) standard deviations for

@@ -7,7 +7,7 @@ are enforced that general-purpose solvers do not guarantee:
   full ``(m, m)`` right factor ``[B, B_null]``, so the rank-``r`` cut the
   paper writes as ``pinv(Sig) @ Sig`` (``Sig`` the rectangular ``(r, m)``
   singular-value factor) is simply the leading ``r`` columns (``U_r`` is
-  never needed, and ``svd_full`` never forms it), and
+  never needed, and ``svd_full`` does not keep it), and
 * the eigendecomposition of the observation-space matrix ``S = Y.T @ Y``
   (``Y`` the whitened observed perturbations) must place eigenvectors lying
   in the null space of the decomposed perturbation matrix in the *trailing*
@@ -23,14 +23,14 @@ partially observed ensembles. ``S`` itself is never formed: its eigenvalues
 are the squared singular values of ``Y``, so they keep the accuracy of ``Y``
 instead of the squared conditioning of an explicit Gram matrix. When ``Y``
 is ``Z`` with its rows permuted, over one ``sigma``, ``_permuted_eig`` reads
-both decompositions, and the projection of the whitened innovation that the
-mean needs, off one reduction of ``[Z | innovation]`` instead; neither it nor
-``svd_full`` forms an ``n``-row factor.
+both decompositions off the one SVD of ``Z`` instead.
 
-Both routines fix the sign LAPACK leaves free in each singular pair by one
-pivot rule on the columns of their right factors, so those factors, and the
-analysis ensemble built from them, do not depend on the LAPACK build (up to
-repeated singular values).
+One routine, ``_r_svd``, factors ``Z`` and ``Y B``. It projects a
+right-hand side (the whitened innovation the mean needs) onto the left
+singular vectors, and no left factor leaves it. It fixes the sign LAPACK
+leaves free in each singular pair by one pivot rule on the columns of the
+right factor, so the factors, and the analysis ensemble built from them, do
+not depend on the LAPACK build (up to repeated singular values).
 
 ``pinv_rect_diag`` is the paper's rectangular pseudoinverse, kept as the
 reference the rank-``r`` cut is tested against; the analysis does not call it.
@@ -51,6 +51,11 @@ RANK_TOL = float(np.finfo(np.float64).eps)
 
 # Largest ||Y @ null_basis|| / ||Y|| accepted by ordered_eig_psd.
 _BASIS_TOL = 1e-8
+
+# Rows per column from which _r_svd takes a QR before the SVD: where the QR
+# route is no slower, with one BLAS thread, at 32 to 60 columns. A wide input
+# must not take it: Householder QR of a row-graded [Y B | e] loses accuracy.
+_QR_ROWS_PER_COLUMN = 2.5
 
 
 @dataclass(frozen=True)
@@ -105,17 +110,16 @@ class SvdFactors:
 class OrderedEigen:
     """Eigendecomposition ``S = vectors @ diag(values) @ vectors.T`` of ``S = Y.T @ Y``.
 
-    Read off the SVD ``Y = obs_vectors @ diag(sqrt(values[:k])) @ vectors[:, :k].T``
-    of the ``(p, m)`` factor ``Y``; ``values`` is descending, zero past ``k``.
-    When produced by :func:`ordered_eig_psd` the trailing columns of
-    ``vectors`` are exactly the supplied null-space basis, which is what the
-    analysis update relies on. ``obs_vectors`` is ``None`` when the left
-    factor was not formed (:func:`_permuted_eig`).
+    Read off the SVD ``Y = U_W @ diag(sqrt(values[:k])) @ vectors[:, :k].T``
+    of the ``(p, m)`` factor ``Y``, whose left factor ``U_W`` is not kept;
+    ``values`` is descending, zero past ``k``. When produced by
+    :func:`ordered_eig_psd` the trailing columns of ``vectors`` are exactly
+    the supplied null-space basis, which is what the analysis update relies
+    on.
     """
 
     vectors: np.ndarray
     values: np.ndarray
-    obs_vectors: np.ndarray | None
 
     def __post_init__(self):
         m = self.vectors.shape[0]
@@ -123,9 +127,6 @@ class OrderedEigen:
             raise ValueError("OrderedEigen: vectors must be square")
         if self.values.shape != (m,):
             raise ValueError("OrderedEigen: values length must match vectors")
-        obs = self.obs_vectors
-        if obs is not None and (obs.ndim != 2 or obs.shape[1] > m):
-            raise ValueError("OrderedEigen: obs_vectors must have at most m columns")
         values = self.values
         # asserted, not refuted, so that a NaN fails them
         if not (values >= 0.0).all():
@@ -135,14 +136,11 @@ class OrderedEigen:
 
 
 def svd_full(matrix) -> SvdFactors:
-    """Rank-revealing SVD with a deterministic sign convention.
+    """Rank-revealing SVD with a deterministic sign convention, by :func:`_r_svd`.
 
-    The input ``Z`` is first reduced to its ``(min(n, m), m)`` triangular
-    factor ``R`` (``Z = Q R``, ``Q`` not formed), and ``R`` is decomposed:
-    ``Z`` and ``R`` share their singular values and right factor, so no
-    ``n``-row factor is formed (Chan's R-SVD). The QR costs ``O(n m^2)``
-    time for ``n >= m``, the SVD of ``R`` ``O(m^3)``. :func:`_permuted_eig`
-    runs the same reduction with one more column, the whitened innovation.
+    A tall ``Z = Q R`` is reduced to its ``(m, m)`` triangle ``R`` first, with
+    the same singular values and right factor (Chan's R-SVD): ``O(n m^2)``
+    time, and no ``n``-row factor. Any other ``Z`` is decomposed directly.
 
     Parameters
     ----------
@@ -164,59 +162,63 @@ def svd_full(matrix) -> SvdFactors:
     return _r_svd(arr)[0]
 
 
-def _r_svd(z: np.ndarray, rhs: np.ndarray | None = None) -> tuple[SvdFactors, np.ndarray | None]:
-    """The R-SVD of a nonempty ``(n, m)`` matrix ``Z = Q R``, ``R = U_R Sig V.T``; ``Q`` is not formed.
+def _r_svd(a: np.ndarray, rhs: np.ndarray | None = None) -> tuple[SvdFactors, np.ndarray | None]:
+    """The SVD ``A = U Sig V.T`` of an ``(n, c)`` matrix, ``U`` not kept, and ``U.T rhs``.
 
-    Returns the :class:`SvdFactors` of ``Z`` and, given a right-hand side
-    ``rhs`` of shape ``(n,)`` or ``(n, k)``, its projection
-    ``(Q U_R[:, :rank]).T @ rhs``, each row flipped with the pivot sign of
-    its column of ``V`` so that ``Z = (Q U_R) Sig V.T`` still holds for the
-    signed factors; otherwise ``None``. ``rhs`` rides along as extra columns
-    of the QR, whose triangle is ``[R | Q.T rhs]`` in its leading
-    ``min(n, m)`` rows (Björck 1996, §2.4).
+    Returns the :class:`SvdFactors` of ``A`` (``sigma`` kept iff
+    ``sigma > RANK_TOL * sigma_max * max(n, c)``) and, given ``rhs`` of
+    shape ``(n,)`` or ``(n, k)``, ``U[:, :rank].T @ rhs`` with each row
+    signed like its column of ``V``; otherwise ``None``. With
+    ``n >= _QR_ROWS_PER_COLUMN * c``, ``A = Q R`` is reduced to its ``(c, c)``
+    triangle first, ``Q`` not formed, and ``U = Q U_R``: ``rhs`` rides along
+    as extra columns of the QR, whose triangle is ``[R | Q.T rhs]`` (Björck
+    1996, §2.4). Any other input is decomposed directly. On both routes an
+    ``inf`` or ``nan`` in ``rhs`` reaches the projection without a warning.
     """
-    m = z.shape[1]
-    triangle = np.linalg.qr(z if rhs is None else np.column_stack([z, rhs]), mode="r")
-    # R has at most m rows, so its full SVD gives the (m, m) right factor
-    # and a left factor of at most (m, m).
-    rows = min(z.shape)
-    left, s, vt = np.linalg.svd(triangle[:rows, :m])
-    rank = int(np.count_nonzero(s > RANK_TOL * float(s[0]) * max(z.shape)))
+    n, c = a.shape
+    if n >= _QR_ROWS_PER_COLUMN * c:
+        triangle = np.linalg.qr(a if rhs is None else np.column_stack([a, rhs]), mode="r")
+        left, s, vt = np.linalg.svd(triangle[:c, :c])
+        projected = triangle[:c, c:] if rhs is None or rhs.ndim == 2 else triangle[:c, c]
+    else:
+        # full_matrices for a wide input only: V must be square, U need not
+        left, s, vt = np.linalg.svd(a, full_matrices=n < c)
+        projected = rhs
+    # s[:1] is empty, and so is s, for an empty input
+    rank = int(np.count_nonzero(s > RANK_TOL * max(n, c) * s[:1]))
     # vt is a fresh array: sign it in place instead of copying
     right = vt.T
     signs = _pivot_signs(right)
     svd = SvdFactors(singular_values=s[:rank], right=right)
     if rhs is None:
         return svd, None
-    projected = triangle[:rows, m:] if rhs.ndim == 2 else triangle[:rows, m]
-    return svd, (left[:, :rank] * signs[:rank]).T @ projected
+    # einsum, unlike matmul, raises no warning on an inf or nan, as LAPACK does not
+    return svd, np.einsum("ij,i...->j...", left[:, :rank] * signs[:rank], projected)
 
 
 def _permuted_eig(
     z: np.ndarray, rows: np.ndarray, sigma: float, innovation: np.ndarray
 ) -> tuple[SvdFactors, OrderedEigen, np.ndarray]:
-    """The factors of ``Z`` and of ``Y = Z[rows] / sigma``, and ``U_W.T innovation``, from one QR.
+    """The factors of ``Z`` and of ``Y = Z[rows] / sigma``, and ``U_W.T innovation``, from one SVD.
 
     ``rows`` is a permutation ``P`` of ``range(n)``, ``sigma`` positive and
     ``innovation`` an ``(n,)`` vector in observation order. With
-    ``Z = (Q U_R) Sig V.T`` from :func:`_r_svd`,
-    ``Y = P Z / sigma = (P Q U_R) diag(Sig / sigma) V.T`` is already an SVD
-    of ``Y``: ``vectors`` is ``V``, with the null space last by
-    construction, ``values`` is ``(Sig_r / sigma)**2`` and
-    ``U_W = P Q U_R[:, :r]`` (``Q_W = I``). ``U_W`` is not formed
-    (``obs_vectors`` is ``None``): ``U_W.T innovation = (Q U_R[:, :r]).T e``,
-    ``e[rows] = innovation``, rides along in the QR of ``[Z | e]``. No SVD
-    of ``Y`` is taken, and ``Y B_null``, ``Z``'s own residue below the rank
-    cut over ``sigma``, needs no check. ``values``, and the trailing
-    ``m - r`` columns of ``vectors``, agree with ``ordered_eig_psd``'s to
-    rounding.
+    ``Z = U Sig V.T`` from :func:`_r_svd`,
+    ``Y = P Z / sigma = (P U) diag(Sig / sigma) V.T`` is already an SVD of
+    ``Y``: ``vectors`` is ``V``, with the null space last by construction,
+    ``values`` is ``(Sig_r / sigma)**2`` and ``U_W = P U[:, :r]``
+    (``Q_W = I``), so ``U_W.T innovation`` is ``_r_svd``'s projection of
+    ``e``, ``e[rows] = innovation``. ``Y B_null``, ``Z``'s own residue below
+    the rank cut over ``sigma``, needs no check. ``values``, and the
+    trailing ``m - r`` columns of ``vectors``, agree with
+    ``ordered_eig_psd``'s to rounding.
     """
     state_order = np.empty_like(innovation)
     state_order[rows] = innovation
     svd, projection = _r_svd(z, state_order)
     values = np.zeros(z.shape[1])
     np.square(svd.singular_values / sigma, out=values[: svd.rank])
-    return svd, OrderedEigen(vectors=svd.right, values=values, obs_vectors=None), projection
+    return svd, OrderedEigen(vectors=svd.right, values=values), projection
 
 
 def _pivot_signs(columns: np.ndarray) -> np.ndarray:
@@ -266,7 +268,7 @@ def pinv_rect_diag(sigma_rect) -> np.ndarray:
     return out
 
 
-def ordered_eig_psd(whitened, svd: SvdFactors) -> OrderedEigen:
+def ordered_eig_psd(whitened, svd: SvdFactors, rhs=None) -> tuple[OrderedEigen, np.ndarray | None]:
     """Eigendecomposition of ``S = whitened.T @ whitened`` with ordered null vectors.
 
     Parameters
@@ -277,18 +279,20 @@ def ordered_eig_psd(whitened, svd: SvdFactors) -> OrderedEigen:
     svd : SvdFactors
         SVD of the associated ``(n, m)`` perturbation matrix. Its null-space
         basis becomes the trailing columns of the output verbatim.
+    rhs : ndarray, shape (p,) or (p, j), optional
+        Right-hand side to project onto the left singular vectors of ``Y``.
 
     Returns
     -------
-    OrderedEigen
+    (OrderedEigen, ndarray or None)
         With ``B = svd.row_space_basis()`` and the SVD
-        ``Y @ B = U_W @ diag(s) @ Q_W.T``, ``vectors`` is
-        ``[B @ Q_W, svd.null_space_basis()]``, ``values`` is ``s**2`` padded
-        with zeros and ``obs_vectors`` is ``U_W``. The ordering contract holds
-        regardless of how many zero eigenvalues the row-space block contains,
-        and ``S`` is never formed. Each column of ``Q_W`` is signed so that
-        its entry of largest magnitude (first on ties) is positive, with the
-        paired column of ``U_W`` flipped to match.
+        ``Y @ B = U_W @ diag(s) @ Q_W.T`` from :func:`_r_svd`, which keeps the
+        ``k`` values of ``s`` above ``RANK_TOL * s_1 * max(p, r)``: ``vectors``
+        is ``[B @ Q_W, svd.null_space_basis()]``, ``values`` is ``s**2`` padded
+        with zeros, and then ``U_W.T @ rhs`` (``None`` without ``rhs``; ``U_W``
+        is not kept). The ordering contract holds regardless of how many zero
+        eigenvalues the row-space block contains, and ``S`` is never formed.
+        ``Q_W`` follows :func:`svd_full`'s sign rule.
     """
     y = require_matrix(whitened, "ordered_eig_psd input")
     p, m = y.shape
@@ -296,21 +300,18 @@ def ordered_eig_psd(whitened, svd: SvdFactors) -> OrderedEigen:
         raise ValueError(
             f"ordered_eig_psd: factor has {m} columns, the SVD's right factor {svd.right.shape[0]}"
         )
+    if rhs is not None and rhs.shape[:1] != (p,):
+        raise ValueError(f"ordered_eig_psd: right-hand side of shape {rhs.shape} for {p} rows")
     basis_r = svd.row_space_basis()
     basis_n = svd.null_space_basis()
     if frobenius(y @ basis_n) > _BASIS_TOL * frobenius(y):
         raise ValueError("ordered_eig_psd: null basis inconsistent with the factor")
 
-    # Q_W must be the full (r, r) factor; U_W may stay thin.
-    obs_vectors, sigma, qt = np.linalg.svd(y @ basis_r, full_matrices=p < svd.rank)
-    # The analysis ensemble flips with the sign gesdd gives each pair, which
-    # differs between LAPACK builds; the mean and the gain use each pair
-    # twice and are unaffected. Signing Q_W, not B @ Q_W, keeps a scalar
-    # adjustment positive.
-    obs_vectors *= _pivot_signs(qt.T)[: obs_vectors.shape[1]]
+    # Signing Q_W, not B @ Q_W, keeps a scalar adjustment positive.
+    block, projection = _r_svd(y @ basis_r, rhs)
     # [B @ Q_W, B_null]: the right factor with its leading columns replaced
     vectors = svd.right.copy()
-    vectors[:, : svd.rank] = basis_r @ qt.T
+    vectors[:, : svd.rank] = basis_r @ block.right
     values = np.zeros(m)
-    np.square(sigma, out=values[: sigma.size])
-    return OrderedEigen(vectors=vectors, values=values, obs_vectors=obs_vectors)
+    np.square(block.singular_values, out=values[: block.rank])
+    return OrderedEigen(vectors=vectors, values=values), projection

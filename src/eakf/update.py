@@ -25,30 +25,33 @@ coordinates, so this is the rank-``r`` cut
     T = C[:, :r] @ diag(1 / sqrt(1 + g[:r])) @ B.T,    B = right[:, :r]
 
 which is all this module forms. ``left`` drops out, and
-:func:`eakf.linalg.svd_full` never forms it: it reads the singular values and
-``right`` off the SVD of the ``(min(n, m), m)`` triangle of a QR of ``Z``.
-``S = Y.T @ Y`` is not formed either: ``g`` and ``C`` come from an SVD of the
-whitened ``Y = inv(L) H Z`` (``R = L L.T``; the observation model factors
-``R`` once and whitens), and so do the mean and the Kalman gain; one
+:func:`eakf.linalg.svd_full` does not keep it: for a tall ``Z`` it reads the
+singular values and ``right`` off the SVD of the ``(m, m)`` triangle of a QR
+of ``Z``. ``S = Y.T @ Y`` is not formed either: ``g`` and ``C`` come from an
+SVD of the whitened ``Y = inv(L) H Z`` (``R = L L.T``; the observation model
+factors ``R`` once and whitens) on the row space of ``Z``, by the same
+reduction, which projects the whitened innovation for the mean on the way
+and keeps no left factor ``U_W``; the Kalman gain needs none either. One
 ``_analyses`` call gives each command its ``Z``. Nor is ``Za @ Za.T`` formed:
 ``AnalysisResult.covariance`` is a cached property, not a dataclass field,
 formed the first time it is read (``dataclasses.replace`` does not read it),
 from the row-major ``Za`` the result stores. So
 :func:`analyze` costs ``O((n + p) m^2)`` time plus ``O(p n m)`` for a matrix
 ``H`` (a selection operator given as state indices is a gather, ``O(p m)``),
-of which ``Z`` takes one ``O(n m^2)`` QR and an ``O(m^3)`` SVD, and
-``O((n + p) m)`` memory.
+of which ``Z`` takes one ``O(n m^2)`` reduction, and ``O((n + p) m)``
+memory.
 
 When ``H`` observes each state variable exactly once, given as state
 indices, and ``R`` is one variance repeated (every cycle of
 :mod:`eakf.twin`), both factors, and the ``r`` numbers ``U_W.T inv(L) d``
-the mean reads, come from one QR of ``Z`` with the whitened innovation
-appended as one more column; neither ``Y`` nor the QR's ``Q`` is formed.
+the mean reads, come from one reduction of ``Z`` with the whitened
+innovation riding along; neither ``Y`` nor a QR's ``Q`` is formed.
 :func:`eakf.linalg._permuted_eig` says why that is exact. Every other input,
 and :func:`kalman_gain` for every input, takes the general path:
 :func:`eakf.linalg.svd_full`, then :func:`project_observations` and
-``H x_f``. Both paths run on the caller's thread; the package starts no
-thread, so any parallelism is the BLAS library's own.
+:func:`eakf.linalg.ordered_eig_psd`. Both paths run on the caller's
+thread; the package starts no thread, so any parallelism is the BLAS
+library's own.
 
 Two implementation details decide whether this is exact or silently wrong:
 
@@ -166,39 +169,26 @@ def _permutes(obs: ObservationModel, n: int) -> bool:
     return bool(np.logical_and.reduce(np.bincount(op, minlength=n) == 1))
 
 
-def _gain_weights(g: np.ndarray) -> np.ndarray:
-    """``s / (1 + s**2)`` for the observed eigenvalues ``g = s**2``."""
-    return np.sqrt(g) / (1.0 + g)
-
-
-def _analysis_factors(pert: PerturbationMatrix, obs: ObservationModel) -> tuple[SvdFactors, OrderedEigen]:
-    """The general path's factors of ``Z = pert.matrix``: ``(svd, eig)``.
-
-    ``svd`` is :func:`eakf.linalg.svd_full` of ``Z`` and ``eig`` the
-    :func:`eakf.linalg.ordered_eig_psd` result for
-    ``Y = inv(L) H Z = U_W diag(s) C[:, :k].T``. ``svd_full`` runs before
-    ``Y`` is formed, so its error comes first.
-    """
-    svd = svd_full(pert.matrix)
-    return svd, ordered_eig_psd(project_observations(pert, obs), svd)
-
-
 def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
     """Kalman gain ``P_f H.T inv(H P_f H.T + R)`` from the analysis factors.
 
-    ``K = Z C[:, :k] diag(s / (1 + s**2)) U_W.T inv(L)``: one whitening of
-    ``(p, k)`` right-hand sides (a triangular solve, or a row scale for a
-    diagonal ``R``), no ``(p, p)`` system. :func:`analyze` does not call it.
-    It takes the general path for every ``H``, as it needs ``U_W`` itself:
-    carrying the whitened identity through the permutation path's QR would
-    cost ``O(n (m + n)^2)``.
+    ``K = Z C_k diag(1 / (1 + g_k)) (inv(L).T Y C_k).T``, where
+    ``Y C_k = U_W diag(s)``, so ``U_W`` is not needed: two whitenings (of
+    ``H Z``, and of ``(p, k)`` right-hand sides; a triangular solve, or a row
+    scale for a diagonal ``R``), no ``(p, p)`` system. ``k`` is the number
+    of nonzero ``g``: the rank of ``Y B`` under the cut of
+    :func:`eakf.linalg.ordered_eig_psd`, less any ``s`` whose square
+    underflows, whose term, of size ``s**2``, goes with it. :func:`analyze`
+    does not call it. It takes the general path for every ``H``.
     """
     pert = perturbation_matrix(ens)
-    _, eig = _analysis_factors(pert, obs)
-    k = eig.obs_vectors.shape[1]
-    # (U_W D).T inv(L) = (inv(L).T U_W D).T
-    whitened = obs.whiten(eig.obs_vectors * _gain_weights(eig.values[:k]), trans="T")
-    return (pert.matrix @ eig.vectors[:, :k]) @ whitened.T
+    svd = svd_full(pert.matrix)
+    y = project_observations(pert, obs)
+    eig, _ = ordered_eig_psd(y, svd)
+    k = np.count_nonzero(eig.values)
+    vectors = eig.vectors[:, :k]
+    whitened = obs.whiten((y @ vectors) / (1.0 + eig.values[:k]), trans="T")
+    return (pert.matrix @ vectors) @ whitened.T
 
 
 def _cut(svd: SvdFactors, vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -236,8 +226,10 @@ def _analyses(ens: ForecastEnsemble, obs: ObservationModel, *transforms):
     When :func:`_permutes` says so, :func:`eakf.linalg._permuted_eig` gives
     the factors and ``U_W.T inv(L) d``; ``H x_f``, a gather ``_permutes``
     has range-checked, comes first and moves no error. Otherwise
-    :func:`_analysis_factors` gives them, then ``H x_f``, which is not
-    warned about on overflow: with no observed spread (``k = 0``) the mean
+    :func:`eakf.linalg.svd_full` of ``Z``, then ``Y``, then
+    :func:`eakf.linalg.ordered_eig_psd` of ``Y`` with the whitened
+    innovation as its right-hand side give them. ``H x_f`` is not warned
+    about on overflow there: with no observed spread (``k = 0``) the mean
     never reads it, and otherwise its ``inf`` makes the mean non-finite,
     which :class:`AnalysisResult` refuses. An overflow in ``H Z`` still warns.
     """
@@ -246,13 +238,15 @@ def _analyses(ens: ForecastEnsemble, obs: ObservationModel, *transforms):
         innovation = obs.whiten(obs.observation - obs.apply(ens.mean))
         svd, eig, projection = _permuted_eig(pert.matrix, obs.operator, obs.cholesky[0], innovation)
     else:
-        svd, eig = _analysis_factors(pert, obs)
+        svd = svd_full(pert.matrix)
+        y = project_observations(pert, obs)
         with np.errstate(over="ignore"):
             hx = obs.apply(ens.mean)
-        projection = eig.obs_vectors.T @ obs.whiten(obs.observation - hx)
-    k = projection.size
-    weights = _gain_weights(eig.values[:k]) * projection
-    mean_a = ens.mean + pert.matrix @ (eig.vectors[:, :k] @ weights)
+        eig, projection = ordered_eig_psd(y, svd, obs.whiten(obs.observation - hx))
+    g = eig.values[: projection.size]
+    # s / (1 + s**2) for the observed eigenvalues g = s**2
+    weights = np.sqrt(g) / (1.0 + g) * projection
+    mean_a = ens.mean + pert.matrix @ (eig.vectors[:, : g.size] @ weights)
     results = []
     for transform in transforms:
         za = pert.matrix @ transform(svd, eig)

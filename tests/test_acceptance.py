@@ -213,7 +213,7 @@ def test_criterion_6_structural_invariants(tmp_path):
             s = gram @ np.linalg.solve(inst.observation.covariance, gram.T)
             s = 0.5 * (s + s.T)
             whitened = project_observations(pert, inst.observation)
-            eig = ordered_eig_psd(whitened, f)
+            eig, _ = ordered_eig_psd(whitened, f)
             rebuilt = (eig.vectors * eig.values) @ eig.vectors.T
             eig_rel = np.linalg.norm(rebuilt - s) / max(np.linalg.norm(s), 1e-300)
             eig_worst = max(eig_worst, eig_rel)

@@ -92,6 +92,14 @@ def test_frobenius_is_numpy_norm(a):
     assert frobenius(a) == float(np.linalg.norm(a))
 
 
+def test_symmetrize_does_not_overflow_a_finite_matrix():
+    # a + a.T overflows; each half does not, and the average is exact here
+    big = 2.0**1023
+    out = symmetrize(big * np.array([[1.0, 1.5], [1.75, -1.875]]))
+    np.testing.assert_array_equal(out, big * np.array([[1.0, 1.625], [1.625, -1.875]]))
+    np.testing.assert_array_equal(out, out.T)
+
+
 def test_symmetrize_is_the_average_with_the_transpose():
     a = np.random.default_rng(0).standard_normal((5, 5))
     expected = 0.5 * (a + a.T)

@@ -138,9 +138,9 @@ def test_perturbation_below_the_normal_range_names_its_scale():
         perturbation_matrix(ForecastEnsemble(members))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_guards_hold_near_overflow():
-    # squares of entries near 1e200 overflow; the norms in the guards must not
+    # squares of entries near 1e200 overflow; the norms in the guards must
+    # not, and must not warn either
     assert frobenius(np.full(4, 1e200)) == pytest.approx(2e200, rel=1e-15)
     with pytest.raises(ValueError, match="centered"):
         PerturbationMatrix(matrix=np.array([[1e200, 1e200]]), scale_members=2)
@@ -332,6 +332,20 @@ def test_whiten_is_the_scipy_triangular_solve(p, trans):
 def test_observation_model_rejects_complex_covariance(covariance):
     with pytest.raises(ValueError, match="complex input not supported"):
         ObservationModel(operator=np.eye(2), covariance=covariance, observation=np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "covariance",
+    [np.diag([1e308, 1e308]), np.diag([1e308, 1.0]), np.array([[8e307, -7e307], [-7e307, 9e307]])],
+    ids=["both-near-max", "one-near-max", "off-diagonal-near-max"],
+)
+def test_a_symmetric_r_near_the_float64_maximum_is_kept_as_given(covariance):
+    # R + R.T overflows: neither the symmetry check nor the stored R may
+    # warn or turn a finite R infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        obs = ObservationModel(np.eye(2), covariance, np.zeros(2))
+    np.testing.assert_array_equal(obs.covariance, covariance)
 
 
 def test_observation_model_not_symmetric():

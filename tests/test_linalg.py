@@ -1,11 +1,15 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import eakf.linalg
 from eakf.ensemble import perturbation_matrix
 from eakf.instances import ALL_CATEGORIES, random_instance
 from eakf.linalg import (
+    _QR_ROWS_PER_COLUMN,
+    RANK_TOL,
     OrderedEigen,
     SvdFactors,
     _permuted_eig,
@@ -15,7 +19,7 @@ from eakf.linalg import (
     svd_full,
 )
 
-RNG_SHAPES = [(1, 2), (2, 2), (3, 5), (5, 3), (4, 12), (20, 12), (12, 7)]
+RNG_SHAPES = [(1, 2), (2, 2), (3, 5), (5, 3), (4, 12), (20, 12), (12, 7), (30, 4)]
 
 
 def assert_factors_of(f, matrix, tol=1e-12):
@@ -129,9 +133,13 @@ def test_svd_sign_ties_go_to_the_smallest_index(monkeypatch):
 
 
 def _loop_sign_factors(matrix):
-    """The rank and right factor of the triangle's SVD, signed by a per-column loop."""
+    """The rank and right factor of the SVD, signed by a per-column loop.
+
+    The SVD is the triangle's for a tall matrix, the matrix's own otherwise.
+    """
     n, m = matrix.shape
-    s, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r"))[1:]
+    tall = n >= _QR_ROWS_PER_COLUMN * m
+    s, vt = np.linalg.svd(np.linalg.qr(matrix, mode="r") if tall else matrix)[1:]
     rank = int(np.count_nonzero(s > np.finfo(np.float64).eps * float(s[0]) * max(n, m)))
     right = vt.T.copy()
     for j in range(m):
@@ -234,22 +242,20 @@ def test_svd_factors_reject_bad_shapes(sigma, right, message):
 )
 def test_ordered_eigen_rejects_bad_values(values, message):
     with pytest.raises(ValueError, match=f"values must be {message}"):
-        OrderedEigen(vectors=np.eye(3), values=np.array(values), obs_vectors=np.zeros((2, 2)))
+        OrderedEigen(vectors=np.eye(3), values=np.array(values))
 
 
 @pytest.mark.parametrize(
-    ("vectors", "values", "obs_vectors", "message"),
+    ("vectors", "values", "message"),
     [
-        (np.eye(3, 2), np.zeros(3), np.zeros((2, 2)), "vectors must be square"),
-        (np.eye(3), np.zeros(2), np.zeros((2, 2)), "values length must match vectors"),
-        (np.eye(3), np.zeros(3), np.zeros((2, 4)), "obs_vectors must have at most m columns"),
-        (np.eye(3), np.zeros(3), np.zeros(2), "obs_vectors must have at most m columns"),
+        (np.eye(3, 2), np.zeros(3), "vectors must be square"),
+        (np.eye(3), np.zeros(2), "values length must match vectors"),
     ],
-    ids=["non-square-vectors", "short-values", "wide-obs-vectors", "1-d-obs-vectors"],
+    ids=["non-square-vectors", "short-values"],
 )
-def test_ordered_eigen_rejects_bad_shapes(vectors, values, obs_vectors, message):
+def test_ordered_eigen_rejects_bad_shapes(vectors, values, message):
     with pytest.raises(ValueError, match=f"^OrderedEigen: {message}$"):
-        OrderedEigen(vectors=vectors, values=values, obs_vectors=obs_vectors)
+        OrderedEigen(vectors=vectors, values=values)
 
 
 def test_pinv_examples():
@@ -310,6 +316,7 @@ PERMUTED_CASES = {
     "rank-2": lambda rng: centered(rng.standard_normal((8, 2)) @ rng.standard_normal((2, 6))),
     "zero-spread": lambda rng: np.zeros((5, 4)),
     "repeated": lambda rng: repeated_singular_values(rng, 10, 7),
+    "many-rows": lambda rng: centered(rng.standard_normal((30, 5))),
 }
 
 
@@ -324,11 +331,10 @@ def test_permuted_eig_is_ordered_eig_psd_of_the_permuted_rows(case, sigma):
     y = z[rows] / sigma
     rhs = rng.standard_normal(z.shape[0])
     svd, eig, projection = _permuted_eig(z, rows, sigma, rhs)
-    reference = ordered_eig_psd(y, svd_full(z))
+    reference, _ = ordered_eig_psd(y, svd_full(z))
     assert_factors_of(svd, z)
     np.testing.assert_allclose(eig.values, reference.values, rtol=1e-13, atol=0.0)
     assert_identical(eig.vectors, svd.right)
-    assert eig.obs_vectors is None
     # (Y B).T rhs = diag(s) U_W.T rhs
     r = svd.rank
     assert projection.shape == (r,)
@@ -359,6 +365,56 @@ def test_the_reduction_projects_a_right_hand_side_without_q(case, columns):
     assert np.linalg.norm(projection - expected) <= 1e-14 * max(np.linalg.norm(expected), 1e-300)
 
 
+@pytest.mark.parametrize("side", ["direct", "qr"])
+@pytest.mark.parametrize("columns", [1, 4, 9])
+def test_both_routes_agree_either_side_of_the_switch(monkeypatch, columns, side):
+    # the last row count that _r_svd decomposes directly, and the first it
+    # reduces by QR; each is forced down the other route too
+    first_tall = math.ceil(_QR_ROWS_PER_COLUMN * columns)
+    rows = first_tall - 1 if side == "direct" else first_tall
+    rng = np.random.default_rng(columns)
+    a = rng.standard_normal((rows, columns))
+    rhs = rng.standard_normal((rows, 2))
+    modes, qr = [], np.linalg.qr
+
+    def recorded(x, mode):
+        modes.append(mode)
+        return qr(x, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    taken = _r_svd(a, rhs)
+    assert modes == ([] if side == "direct" else ["r"])
+    routes = []
+    for switch in (0.0, math.inf):
+        monkeypatch.setattr(eakf.linalg, "_QR_ROWS_PER_COLUMN", switch)
+        routes.append(_r_svd(a, rhs))
+    (qr_svd, qr_projection), (direct_svd, direct_projection) = routes
+    assert_identical(taken[0].right, (direct_svd if side == "direct" else qr_svd).right)
+    scale = np.linalg.norm(rhs)
+    assert qr_svd.rank == direct_svd.rank == columns
+    np.testing.assert_allclose(qr_svd.singular_values, direct_svd.singular_values, rtol=1e-14, atol=0.0)
+    assert np.abs(qr_svd.right - direct_svd.right).max() <= 1e-14
+    assert np.abs(qr_projection - direct_projection).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("factor, k", [(8.0, 2), (1 / 8.0, 1)], ids=["above", "below"])
+@pytest.mark.parametrize("p", [2, 40], ids=["wide", "tall"])
+def test_ordered_eig_cuts_y_b_at_the_rank_threshold(p, factor, k):
+    # Y B = U diag(1, s) Q.T with s a factor above or below the cut
+    # RANK_TOL * s_1 * max(p, r): a value below it is not kept, and the
+    # projection has one entry per value kept
+    rng = np.random.default_rng(29)
+    f = svd_full(centered(rng.standard_normal((8, 6))))
+    r = f.rank
+    s = np.array([1.0, factor * RANK_TOL * max(p, r)])
+    u = np.linalg.qr(rng.standard_normal((p, 2)))[0]
+    q = np.linalg.qr(rng.standard_normal((r, 2)))[0]
+    y = (u * s) @ q.T @ f.row_space_basis().T
+    eig, projection = ordered_eig_psd(y, f, rng.standard_normal(p))
+    assert np.count_nonzero(eig.values) == k and projection.shape == (k,)
+    assert eig.values[0] == pytest.approx(1.0, rel=1e-14)
+
+
 def test_ordered_eig_two_member_example():
     # S = Y.T Y = (1/2) [[1,-1],[-1,1]] paired with Z = [1,-1]: one unit
     # eigenvalue in the row space, and the (1,1)/sqrt(2) null vector must
@@ -367,7 +423,7 @@ def test_ordered_eig_two_member_example():
     y = z / np.sqrt(2.0)
     s = y.T @ y
     f = svd_full(z)
-    eig = ordered_eig_psd(y, f)
+    eig, _ = ordered_eig_psd(y, f)
     np.testing.assert_allclose(eig.values, [1.0, 0.0], atol=1e-14)
     lead = eig.vectors[:, 0]
     np.testing.assert_allclose(np.abs(lead), np.abs(np.array([1.0, -1.0]) / np.sqrt(2.0)))
@@ -382,7 +438,7 @@ def test_ordered_eig_zero_matrix():
     z = rng.standard_normal((3, 5))
     z -= z.mean(axis=1, keepdims=True)
     f = svd_full(z)
-    eig = ordered_eig_psd(np.zeros((2, 5)), f)
+    eig, _ = ordered_eig_psd(np.zeros((2, 5)), f)
     np.testing.assert_array_equal(eig.values, np.zeros(5))
     # trailing columns are the null basis verbatim
     np.testing.assert_array_equal(eig.vectors[:, f.rank :], f.null_space_basis())
@@ -396,7 +452,7 @@ def test_ordered_eig_rank_gap_example():
     s = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
     f = svd_full(z)
     assert f.rank == 2
-    eig = ordered_eig_psd(y, f)
+    eig, _ = ordered_eig_psd(y, f)
     np.testing.assert_allclose(eig.values, [1.0, 0.0, 0.0], atol=1e-14)
     np.testing.assert_allclose(eig_product(eig), s, atol=1e-14)
     trailing = eig.vectors[:, 2]
@@ -421,7 +477,7 @@ def test_ordered_eig_random_property(seed):
     s = 0.5 * (s + s.T)
     y = np.linalg.solve(np.linalg.cholesky(r), hz)
     f = svd_full(z)
-    eig = ordered_eig_psd(y, f)
+    eig, _ = ordered_eig_psd(y, f)
     s_scale = max(np.linalg.norm(s), 1e-300)
     assert np.linalg.norm(eig_product(eig) - s) <= 1e-10 * s_scale
     trailing = eig.vectors[:, f.rank :]
@@ -429,12 +485,14 @@ def test_ordered_eig_random_property(seed):
     assert np.all(np.diff(eig.values) <= 0.0)
     assert np.all(eig.values >= 0.0)
     np.testing.assert_allclose(eig.vectors.T @ eig.vectors, np.eye(m), atol=1e-12)
-    k = eig.obs_vectors.shape[1]
+    k = np.count_nonzero(eig.values)
     assert k == min(p, f.rank)
-    np.testing.assert_allclose(eig.obs_vectors.T @ eig.obs_vectors, np.eye(k), atol=1e-12)
-    # Y = obs_vectors diag(sqrt(values[:k])) vectors[:, :k].T
-    rebuilt = (eig.obs_vectors * np.sqrt(eig.values[:k])) @ eig.vectors[:, :k].T
-    assert np.linalg.norm(rebuilt - y) <= 1e-10 * max(np.linalg.norm(y), 1e-300)
+    # Y C[:, :k] = U_W diag(sqrt(values[:k])): orthogonal columns of norm
+    # sqrt(values[:k]), and Y C vanishes past k
+    yc = y @ eig.vectors
+    gram = yc[:, :k].T @ yc[:, :k]
+    np.testing.assert_allclose(gram, np.diag(eig.values[:k]), rtol=0, atol=1e-12 * max(eig.values[0], 1e-300))
+    assert np.linalg.norm(yc[:, k:]) <= 1e-12 * max(np.linalg.norm(y), 1e-300)
     # Q_W = B.T C follows svd_full's pivot rule
     q = f.row_space_basis().T @ eig.vectors[:, : f.rank]
     assert np.all(q[np.abs(q).argmax(axis=0), np.arange(f.rank)] > 0.0)

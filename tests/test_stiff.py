@@ -179,3 +179,26 @@ def test_spread_below_the_rank_cut_seen_through_a_tiny_error():
     except ValueError:
         return
     assert_exact(ens, obs)
+
+
+@pytest.mark.parametrize("condition", [1e2, 1e4, 1e6])
+@pytest.mark.parametrize("n, m, p", [(6, 5, 24), (20, 8, 60)], ids=["6-5-24", "20-8-60"])
+def test_more_observations_than_variables_with_ill_conditioned_error(monkeypatch, n, m, p, condition):
+    # p > n, dense H; R has eigenvalues logarithmically spaced from 1 down to
+    # 1/condition. Y B has p rows and at most m - 1 columns, so it is
+    # reduced by a QR before its SVD
+    rng = np.random.default_rng(0)
+    members = rng.standard_normal((n, m))
+    operator = rng.standard_normal((p, n))
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    covariance = (q * np.logspace(0, -np.log10(condition), p)) @ q.T
+    obs = ObservationModel(operator, 0.5 * (covariance + covariance.T), rng.standard_normal(p))
+    rows, qr = [], np.linalg.qr
+
+    def recorded(a, mode):
+        rows.append(a.shape[0])
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", recorded)
+    assert_exact(ForecastEnsemble(members), obs)
+    assert p in rows

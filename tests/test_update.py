@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import eakf.demo
+import eakf.linalg
 import eakf.update
 from eakf.demo import misordered_analysis, run_pitfall_demo
 from eakf.ensemble import (
@@ -93,7 +94,7 @@ def test_project_observations_shape_mismatch():
 def factors(pert, obs):
     """The SVD of ``Z`` and the ordered eigendecomposition built on it, as ``analyze`` forms them."""
     svd = svd_full(pert.matrix)
-    return svd, ordered_eig_psd(project_observations(pert, obs), svd)
+    return svd, ordered_eig_psd(project_observations(pert, obs), svd)[0]
 
 
 def ascending_order(pert):
@@ -126,7 +127,7 @@ def counted_calls(monkeypatch, owner, name):
 
 
 @pytest.mark.parametrize(
-    "run, svds, numpy_svds",
+    "run, zs, reductions",
     [
         (lambda inst: analyze(inst.ensemble, inst.observation), 1, 2),
         (lambda inst: kalman_gain(inst.ensemble, inst.observation), 1, 2),
@@ -141,18 +142,17 @@ def counted_calls(monkeypatch, owner, name):
         "analyze-permutation", "kalman_gain-permutation", "misordered_analysis-permutation",
     ],
 )
-def test_each_analysis_factors_z_once(monkeypatch, run, svds, numpy_svds):
-    # each analysis makes one QR of one Z; the pitfall demo runs two
-    # instances both ways, one Z and one QR per instance. The general path
-    # takes the SVD of the triangle and that of Y B; an analysis whose H
-    # observes each state variable once, with one variance, needs only the
-    # first, while kalman_gain takes the general path for every H
+def test_each_analysis_factors_z_once(monkeypatch, run, zs, reductions):
+    # each analysis builds one Z and reduces it once; the pitfall demo runs
+    # two instances both ways, one Z per instance. The general path reduces
+    # Z and then Y B; an analysis whose H observes each state variable once,
+    # with one variance, needs only the first, while kalman_gain takes the
+    # general path for every H. Every reduction is linalg._r_svd's
     inst = random_instance(0, "rank_deficient")
-    zs = counted_calls(monkeypatch, PerturbationMatrix, "__post_init__")
-    qrs = counted_calls(monkeypatch, np.linalg, "qr")
-    numpy_svd_calls = counted_calls(monkeypatch, np.linalg, "svd")
+    built = counted_calls(monkeypatch, PerturbationMatrix, "__post_init__")
+    reduced = counted_calls(monkeypatch, eakf.linalg, "_r_svd")
     run(inst)
-    assert (len(zs), len(qrs), len(numpy_svd_calls)) == (svds, svds, numpy_svds)
+    assert (len(built), len(reduced)) == (zs, reductions)
 
 
 @pytest.mark.parametrize(
@@ -264,6 +264,29 @@ def test_an_overflowing_forecast_observation_with_spread_fails_loudly():
         assert np.isfinite(kalman_gain(ens, obs)).all()
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
         analyze(ens, obs)
+
+
+@pytest.mark.parametrize("variances", [[1e308, 1e308], [1e308, 1.0]], ids=["both-near-max", "one-near-max"])
+def test_a_dense_r_near_the_float64_maximum_analyses_as_its_variances(variances):
+    # R + R.T overflows; a stored R with an inf diagonal made the observation
+    # infinitely uncertain and the mean silently wrong
+    ens = ForecastEnsemble(np.random.default_rng(0).standard_normal((2, 5)) * 1e153)
+    dense, diagonal = (
+        analyze(ens, ObservationModel(np.eye(2), covariance, np.zeros(2)))
+        for covariance in (np.diag(variances), np.array(variances))
+    )
+    assert _rel(dense.mean, diagonal.mean) <= 1e-12
+    assert _rel(dense.perturbations, diagonal.perturbations) <= 1e-12
+
+
+@pytest.mark.parametrize("operator", [np.arange(4), np.eye(4)], ids=["permutation", "general"])
+def test_an_analysis_whose_squares_overflow_does_not_warn(operator):
+    # the squares of a spread of 1e170 overflow in the norms of the
+    # centering checks, which are then taken scaled, without a warning (a
+    # warning is an error in this suite)
+    ens = ForecastEnsemble(np.random.default_rng(0).standard_normal((4, 6)) * 1e170)
+    result = analyze(ens, ObservationModel(operator, np.full(4, 1e300), np.zeros(4)))
+    assert np.isfinite(result.perturbations).all()
 
 
 @pytest.mark.parametrize("run", [analyze, kalman_gain], ids=["analyze", "kalman_gain"])
@@ -566,7 +589,9 @@ def test_an_overflowing_innovation_warns_and_fails_loudly(spread):
 
 def test_the_permutation_path_forms_no_q(monkeypatch):
     # Q.T e rides along in the triangle of [Z | e]; no analysis that takes
-    # the permutation path asks numpy for Q
+    # the permutation path asks numpy for Q. The generic instance's (18, 9)
+    # Z is decomposed directly, and each of the twin's three (20, 8) Zs is
+    # reduced by a QR
     modes, qr = [], np.linalg.qr
 
     def recorded(a, mode="reduced"):
@@ -578,7 +603,7 @@ def test_the_permutation_path_forms_no_q(monkeypatch):
     analyze(*permuted(inst))
     misordered_analysis(*permuted(inst))
     run_twin(TwinConfig(steps=3, n=20, m=8))
-    assert modes == ["r"] * 5
+    assert modes == ["r"] * 3
 
 
 # ---------------------------------------------------------------- adjustment
@@ -1145,7 +1170,7 @@ def test_truncation_identity():
             continue
         f = svd_full(pert.matrix)
         y = project_observations(pert, inst.observation)
-        eig = ordered_eig_psd(y, f)
+        eig, _ = ordered_eig_psd(y, f)
         scaled = pert.matrix @ (eig.vectors / np.sqrt(1.0 + eig.values)[None, :])
         sig = rect_sigma(f)
         truncation = pinv_rect_diag(sig) @ sig
@@ -1223,7 +1248,7 @@ def test_sign_convention_invariance_of_posterior():
         flipped = SvdFactors(singular_values=f.singular_values, right=right)
 
         def posterior(factors):
-            eig = ordered_eig_psd(y, factors)
+            eig, _ = ordered_eig_psd(y, factors)
             scaled = eig.vectors / np.sqrt(1.0 + eig.values)[None, :]
             sig = rect_sigma(factors)
             t = scaled @ pinv_rect_diag(sig) @ sig @ factors.right.T
