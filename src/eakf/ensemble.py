@@ -124,17 +124,18 @@ class ObservationModel:
 
     ``covariance`` is a (p, p) matrix, or a length-p vector of variances for
     a diagonal ``R``, which is kept as given and never expanded. A matrix
-    must be symmetric to a relative 1e-10 in the Frobenius norm and is then
-    kept symmetrized, as ``R / 2 + R.T / 2``: a given ``[[2, 1e-12], [0, 3]]``
-    is stored with 5e-13 on both sides of the diagonal. ``cholesky`` is
-    the lower factor ``L`` of ``R = L @ L.T``, computed once at construction
-    (which validates positive definiteness): the (p,) standard deviations for
-    a vector, otherwise LAPACK's ``potrf`` factor, a (p, p) matrix in Fortran
-    order with zeros above the diagonal. :meth:`whiten` applies ``inv(L)``,
-    through LAPACK's ``trtrs`` for a matrix. Both routines are called
-    directly: at small ``p`` scipy's wrappers cost several times the solve.
-    scipy is imported only for a matrix ``R``; a model with variances never
-    loads it.
+    must be symmetric to a relative 1e-10 in the Frobenius norm, judged on
+    ``R`` scaled by a power of two so that its norm cannot overflow, and is
+    then kept symmetrized, as ``R / 2 + R.T / 2``: a given
+    ``[[2, 1e-12], [0, 3]]`` is stored with 5e-13 on both sides of the diagonal.
+    ``cholesky`` is the lower factor ``L`` of ``R = L @ L.T``, computed once
+    at construction (which validates positive definiteness): the (p,)
+    standard deviations for a vector, otherwise LAPACK's ``potrf`` factor, a
+    (p, p) matrix in Fortran order with zeros above the diagonal.
+    :meth:`whiten` applies ``inv(L)``, through LAPACK's ``trtrs`` for a
+    matrix. Both routines are called directly: at small ``p`` scipy's
+    wrappers cost several times the solve. scipy is imported only for a
+    matrix ``R``; a model with variances never loads it.
     """
 
     operator: np.ndarray
@@ -158,7 +159,10 @@ class ObservationModel:
         if observation.shape != (p,):
             raise ValueError(f"observation length {observation.shape[0]} does not match p={p}")
         if cov.ndim == 2:
-            if frobenius(cov - cov.T) > 1e-10 * frobenius(cov):
+            # R scaled exactly, by a power of two, so that no norm overflows; p may be 0
+            largest = np.maximum.reduce(np.abs(cov), axis=None, initial=0.0)
+            scaled = np.ldexp(cov, -math.frexp(largest)[1])
+            if frobenius(scaled - scaled.T) > 1e-10 * frobenius(scaled):
                 raise ValueError("observation error covariance not symmetric")
             cov = symmetrize(cov)
         object.__setattr__(self, "operator", operator)

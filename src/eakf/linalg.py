@@ -22,8 +22,9 @@ larger null space than the perturbation matrix, e.g. for unobserved or
 partially observed ensembles. ``S`` itself is never formed: its eigenvalues
 are the squared singular values of ``Y``, so they keep the accuracy of ``Y``
 instead of the squared conditioning of an explicit Gram matrix. When ``Y``
-is ``Z`` with its rows permuted, over one ``sigma``, ``_permuted_eig`` reads
-both decompositions off the one SVD of ``Z`` instead.
+is ``Z`` over one ``sigma`` (every state variable observed once, in state
+order), ``_whole_state_eig`` reads both decompositions off the one SVD of
+``Z`` instead.
 
 One routine, ``_r_svd``, factors ``Z`` and ``Y B``. It projects a
 right-hand side (the whitened innovation the mean needs) onto the left
@@ -196,26 +197,22 @@ def _r_svd(a: np.ndarray, rhs: np.ndarray | None = None) -> tuple[SvdFactors, np
     return svd, np.einsum("ij,i...->j...", left[:, :rank] * signs[:rank], projected)
 
 
-def _permuted_eig(
-    z: np.ndarray, rows: np.ndarray, sigma: float, innovation: np.ndarray
+def _whole_state_eig(
+    z: np.ndarray, sigma: float, innovation: np.ndarray
 ) -> tuple[SvdFactors, OrderedEigen, np.ndarray]:
-    """The factors of ``Z`` and of ``Y = Z[rows] / sigma``, and ``U_W.T innovation``, from one SVD.
+    """The factors of ``Z`` and of ``Y = Z / sigma``, and ``U_W.T innovation``, from one SVD.
 
-    ``rows`` is a permutation ``P`` of ``range(n)``, ``sigma`` positive and
-    ``innovation`` an ``(n,)`` vector in observation order. With
-    ``Z = U Sig V.T`` from :func:`_r_svd`,
-    ``Y = P Z / sigma = (P U) diag(Sig / sigma) V.T`` is already an SVD of
-    ``Y``: ``vectors`` is ``V``, with the null space last by construction,
-    ``values`` is ``(Sig_r / sigma)**2`` and ``U_W = P U[:, :r]``
-    (``Q_W = I``), so ``U_W.T innovation`` is ``_r_svd``'s projection of
-    ``e``, ``e[rows] = innovation``. ``Y B_null``, ``Z``'s own residue below
-    the rank cut over ``sigma``, needs no check. ``values``, and the
-    trailing ``m - r`` columns of ``vectors``, agree with
-    ``ordered_eig_psd``'s to rounding.
+    ``sigma`` is positive and ``innovation`` an ``(n,)`` vector. With
+    ``Z = U Sig V.T`` from :func:`_r_svd`, ``Y = U diag(Sig / sigma) V.T`` is
+    already an SVD of ``Y``: ``vectors`` is ``V``, with the null space last
+    by construction, ``values`` is ``(Sig_r / sigma)**2`` and
+    ``U_W = U[:, :r]`` (``Q_W = I``), so ``U_W.T innovation`` is
+    ``_r_svd``'s projection of the innovation as it stands. ``Y B_null``,
+    ``Z``'s own residue below the rank cut over ``sigma``, needs no check.
+    ``values``, and the trailing ``m - r`` columns of ``vectors``, agree
+    with ``ordered_eig_psd``'s to rounding.
     """
-    state_order = np.empty_like(innovation)
-    state_order[rows] = innovation
-    svd, projection = _r_svd(z, state_order)
+    svd, projection = _r_svd(z, innovation)
     values = np.zeros(z.shape[1])
     np.square(svd.singular_values / sigma, out=values[: svd.rank])
     return svd, OrderedEigen(vectors=svd.right, values=values), projection

@@ -41,14 +41,14 @@ from the row-major ``Za`` the result stores. So
 of which ``Z`` takes one ``O(n m^2)`` reduction, and ``O((n + p) m)``
 memory.
 
-When ``H`` observes each state variable exactly once, given as state
-indices, and ``R`` is one variance repeated (every cycle of
-:mod:`eakf.twin`), both factors, and the ``r`` numbers ``U_W.T inv(L) d``
-the mean reads, come from one reduction of ``Z`` with the whitened
-innovation riding along; neither ``Y`` nor a QR's ``Q`` is formed.
-:func:`eakf.linalg._permuted_eig` says why that is exact. Every other input,
-and :func:`kalman_gain` for every input, takes the general path:
-:func:`eakf.linalg.svd_full`, then :func:`project_observations` and
+When ``H`` is ``np.arange(n)``, given as state indices, and ``R`` is one
+variance repeated (every cycle of :mod:`eakf.twin`), both factors, and the
+``r`` numbers ``U_W.T inv(L) d`` the mean reads, come from one reduction of
+``Z`` with the whitened innovation riding along; neither ``Y`` nor a QR's
+``Q`` is formed. :func:`eakf.linalg._whole_state_eig` says why that is
+exact. Every other input (a shuffled permutation with one variance
+included), and :func:`kalman_gain` for every input, takes the general
+path: :func:`eakf.linalg.svd_full` and :func:`project_observations`, then
 :func:`eakf.linalg.ordered_eig_psd`. Both paths run on the caller's
 thread; the package starts no thread, so any parallelism is the BLAS
 library's own.
@@ -77,7 +77,7 @@ import numpy as np
 
 from ._arrays import _all_finite, _as_float64, center_rows, require_centered
 from .ensemble import ForecastEnsemble, ObservationModel, PerturbationMatrix, perturbation_matrix
-from .linalg import OrderedEigen, SvdFactors, _permuted_eig, ordered_eig_psd, svd_full
+from .linalg import OrderedEigen, SvdFactors, _whole_state_eig, ordered_eig_psd, svd_full
 
 @dataclass(frozen=True, init=False)
 class AnalysisResult:
@@ -151,22 +151,17 @@ def project_observations(pert: PerturbationMatrix, obs: ObservationModel) -> np.
     return obs.whiten(obs.apply(pert.matrix))
 
 
-def _permutes(obs: ObservationModel, n: int) -> bool:
-    """Whether ``H`` observes each of the ``n`` state variables once, as indices, with one variance.
+def _observes_whole_state(obs: ObservationModel, n: int) -> bool:
+    """Whether ``H`` is ``np.arange(n)``, given as state indices, and ``R`` one variance repeated.
 
-    That is, ``H`` is a permutation given as state indices and ``R`` a
-    vector holding one variance ``p = n`` times; ``O(n)``. A repeated or
-    out-of-range index, ``p != n``, unequal variances, a matrix ``H`` and a
-    matrix ``R`` all answer no.
+    That is, each of the ``n`` state variables is observed once, in state
+    order, with one variance; ``O(n)``. Any other index order, ``p != n``,
+    unequal variances, a matrix ``H`` and a matrix ``R`` all answer no.
     """
     op, cov = obs.operator, obs.covariance
     if op.ndim != 1 or op.size != n or cov.ndim != 1 or not np.logical_and.reduce(cov == cov[0]):
         return False
-    # bincount allocates up to the largest index, so an index past n - 1 is
-    # answered first; n counts of one then use up all n indices
-    if np.maximum.reduce(op) >= n:
-        return False
-    return bool(np.logical_and.reduce(np.bincount(op, minlength=n) == 1))
+    return bool(np.logical_and.reduce(op == np.arange(n)))
 
 
 def kalman_gain(ens: ForecastEnsemble, obs: ObservationModel) -> np.ndarray:
@@ -223,26 +218,28 @@ def _analyses(ens: ForecastEnsemble, obs: ObservationModel, *transforms):
     ``K d = Z C[:, :k] (s / (1 + s**2) * U_W.T inv(L) d)``, one whitening of
     the innovation and an ``m``-vector of weights. Judge on the ``Z`` returned.
 
-    When :func:`_permutes` says so, :func:`eakf.linalg._permuted_eig` gives
-    the factors and ``U_W.T inv(L) d``; ``H x_f``, a gather ``_permutes``
-    has range-checked, comes first and moves no error. Otherwise
-    :func:`eakf.linalg.svd_full` of ``Z``, then ``Y``, then
-    :func:`eakf.linalg.ordered_eig_psd` of ``Y`` with the whitened
-    innovation as its right-hand side give them. ``H x_f`` is not warned
-    about on overflow there: with no observed spread (``k = 0``) the mean
-    never reads it, and otherwise its ``inf`` makes the mean non-finite,
-    which :class:`AnalysisResult` refuses. An overflow in ``H Z`` still warns.
+    ``H x_f`` and the whitened innovation are formed first, once, and both
+    routes take them; a wrong-width ``H`` is refused there, before ``Z`` is
+    factored. ``H x_f`` is not warned about on overflow: with no observed
+    spread (``k = 0``) the mean never reads it, and otherwise its ``inf``
+    makes the mean non-finite, which :class:`AnalysisResult` refuses. An
+    overflow in ``H Z`` still warns. When :func:`_observes_whole_state`
+    says so, :func:`eakf.linalg._whole_state_eig` gives the factors and
+    ``U_W.T inv(L) d``. Otherwise ``Y``, then :func:`eakf.linalg.svd_full`
+    of ``Z``, then :func:`eakf.linalg.ordered_eig_psd` of ``Y`` with the
+    whitened innovation as its right-hand side give them.
     """
     pert = perturbation_matrix(ens)
-    if _permutes(obs, pert.state_dim):
-        innovation = obs.whiten(obs.observation - obs.apply(ens.mean))
-        svd, eig, projection = _permuted_eig(pert.matrix, obs.operator, obs.cholesky[0], innovation)
+    with np.errstate(over="ignore"):
+        hx = obs.apply(ens.mean)
+    innovation = obs.whiten(obs.observation - hx)
+    if _observes_whole_state(obs, pert.state_dim):
+        svd, eig, projection = _whole_state_eig(pert.matrix, obs.cholesky[0], innovation)
     else:
-        svd = svd_full(pert.matrix)
+        # Y first reads a dense H twice in a row, in cache: 2% less time at (1000, 40, 250)
         y = project_observations(pert, obs)
-        with np.errstate(over="ignore"):
-            hx = obs.apply(ens.mean)
-        eig, projection = ordered_eig_psd(y, svd, obs.whiten(obs.observation - hx))
+        svd = svd_full(pert.matrix)
+        eig, projection = ordered_eig_psd(y, svd, innovation)
     g = eig.values[: projection.size]
     # s / (1 + s**2) for the observed eigenvalues g = s**2
     weights = np.sqrt(g) / (1.0 + g) * projection

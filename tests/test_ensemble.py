@@ -336,16 +336,22 @@ def test_observation_model_rejects_complex_covariance(covariance):
 
 @pytest.mark.parametrize(
     "covariance",
-    [np.diag([1e308, 1e308]), np.diag([1e308, 1.0]), np.array([[8e307, -7e307], [-7e307, 9e307]])],
-    ids=["both-near-max", "one-near-max", "off-diagonal-near-max"],
+    [
+        np.diag([1e308, 1e308]),
+        np.diag([1e308, 1.0]),
+        np.array([[8e307, -7e307], [-7e307, 9e307]]),
+        np.array([[1.6e308, -1.5e308], [-1.5e308, 1.7e308]]),
+    ],
+    ids=["both-near-max", "one-near-max", "off-diagonal-near-max", "norm-past-max"],
 )
 def test_a_symmetric_r_near_the_float64_maximum_is_kept_as_given(covariance):
-    # R + R.T overflows: neither the symmetry check nor the stored R may
-    # warn or turn a finite R infinite
+    # R + R.T, or R's own Frobenius norm, overflows: neither the symmetry
+    # check nor the stored R may warn, refuse a finite SPD R or turn it infinite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         obs = ObservationModel(np.eye(2), covariance, np.zeros(2))
     np.testing.assert_array_equal(obs.covariance, covariance)
+    assert np.isfinite(obs.cholesky).all()
 
 
 def test_observation_model_not_symmetric():
@@ -357,7 +363,7 @@ def test_observation_model_not_symmetric():
         )
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-305])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e-305, 1.7e308])
 def test_observation_model_symmetry_guard_is_relative(scale):
     # an asymmetry of 1e-6 relative to R must raise at any scale of R
     with pytest.raises(ValueError, match="not symmetric"):

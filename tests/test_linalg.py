@@ -12,8 +12,8 @@ from eakf.linalg import (
     RANK_TOL,
     OrderedEigen,
     SvdFactors,
-    _permuted_eig,
     _r_svd,
+    _whole_state_eig,
     ordered_eig_psd,
     pinv_rect_diag,
     svd_full,
@@ -327,10 +327,9 @@ def test_permuted_eig_is_ordered_eig_psd_of_the_permuted_rows(case, sigma):
     # rounding, so the factors are checked against Z, not against its bits
     rng = np.random.default_rng(list(PERMUTED_CASES).index(case))
     z = PERMUTED_CASES[case](rng)
-    rows = rng.permutation(z.shape[0])
-    y = z[rows] / sigma
+    y = z / sigma
     rhs = rng.standard_normal(z.shape[0])
-    svd, eig, projection = _permuted_eig(z, rows, sigma, rhs)
+    svd, eig, projection = _whole_state_eig(z, sigma, rhs)
     reference, _ = ordered_eig_psd(y, svd_full(z))
     assert_factors_of(svd, z)
     np.testing.assert_allclose(eig.values, reference.values, rtol=1e-13, atol=0.0)

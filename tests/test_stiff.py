@@ -108,16 +108,16 @@ def test_fully_observed_spread_far_above_observation_error(spread):
 
 
 def fully_observed_once(shape, spread, variance, route):
-    """Every state variable observed once, in shuffled order, with one variance.
+    """Every state variable observed once, in state order, with one variance.
 
-    ``route`` gives ``H`` as state indices, which the analysis factors from
-    one QR of ``Z``, or as the same one-hot rows, which it factors in general.
+    ``route`` gives ``H`` as the state indices ``np.arange(n)``, which the
+    analysis factors from one QR of ``Z``, or as the identity matrix, which
+    it factors in general.
     """
     n = shape[0]
     members = np.random.default_rng(5).standard_normal(shape) * spread
-    rng = np.random.default_rng(6)
-    index, y = rng.permutation(n), rng.standard_normal(n)
-    operator = index if route == "indices" else np.eye(n)[index]
+    y = np.random.default_rng(6).standard_normal(n)
+    operator = np.arange(n) if route == "indices" else np.eye(n)
     return ForecastEnsemble(members), ObservationModel(operator, np.full(n, variance), y)
 
 

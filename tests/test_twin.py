@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import eakf.linalg
 import eakf.twin
+import eakf.update
 from eakf.twin import TwinConfig, run_twin
 
 
@@ -56,3 +58,15 @@ def test_config_validation(kwargs):
 def test_negative_seed_is_refused():
     with pytest.raises(ValueError, match="seed must be >= 0"):
         TwinConfig(seed=-1)
+
+
+def test_every_cycle_takes_the_whole_state_route(monkeypatch):
+    # H = np.arange(n) with one variance: each cycle reduces [Z | e] once
+    # and never reduces Y B
+    reductions, eigs = [], []
+    r_svd, ordered = eakf.linalg._r_svd, eakf.update.ordered_eig_psd
+    monkeypatch.setattr(eakf.linalg, "_r_svd", lambda *args: reductions.append(args) or r_svd(*args))
+    monkeypatch.setattr(eakf.update, "ordered_eig_psd", lambda *args: eigs.append(args) or ordered(*args))
+    report = run_twin(TwinConfig(steps=5, n=20, m=8))
+    assert report["analyses"] == 5
+    assert len(reductions) == 5 and not eigs

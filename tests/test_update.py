@@ -106,11 +106,11 @@ def ascending_order(pert):
     return svd_full(pert.matrix).rank, np.arange(pert.size)[::-1]
 
 
-def permuted(inst, variance=0.5):
-    """The instance's ensemble with every state variable observed once, as shuffled indices, with one variance."""
+def whole_state(inst, variance=0.5):
+    """The instance's ensemble with every state variable observed once, as ``np.arange(n)``, with one variance."""
     n = inst.ensemble.state_dim
     rng = np.random.default_rng(inst.seed)
-    obs = ObservationModel(rng.permutation(n), np.full(n, variance), rng.standard_normal(n))
+    obs = ObservationModel(np.arange(n), np.full(n, variance), rng.standard_normal(n))
     return inst.ensemble, obs
 
 
@@ -133,9 +133,9 @@ def counted_calls(monkeypatch, owner, name):
         (lambda inst: kalman_gain(inst.ensemble, inst.observation), 1, 2),
         (lambda inst: misordered_analysis(inst.ensemble, inst.observation), 1, 2),
         (lambda inst: run_pitfall_demo(0), 2, 4),
-        (lambda inst: analyze(*permuted(inst)), 1, 1),
-        (lambda inst: kalman_gain(*permuted(inst)), 1, 2),
-        (lambda inst: misordered_analysis(*permuted(inst)), 1, 1),
+        (lambda inst: analyze(*whole_state(inst)), 1, 1),
+        (lambda inst: kalman_gain(*whole_state(inst)), 1, 2),
+        (lambda inst: misordered_analysis(*whole_state(inst)), 1, 1),
     ],
     ids=[
         "analyze", "kalman_gain", "misordered_analysis", "run_pitfall_demo",
@@ -145,9 +145,9 @@ def counted_calls(monkeypatch, owner, name):
 def test_each_analysis_factors_z_once(monkeypatch, run, zs, reductions):
     # each analysis builds one Z and reduces it once; the pitfall demo runs
     # two instances both ways, one Z per instance. The general path reduces
-    # Z and then Y B; an analysis whose H observes each state variable once,
-    # with one variance, needs only the first, while kalman_gain takes the
-    # general path for every H. Every reduction is linalg._r_svd's
+    # Z and then Y B; an analysis whose H is np.arange(n), with one
+    # variance, needs only the first, while kalman_gain takes the general
+    # path for every H. Every reduction is linalg._r_svd's
     inst = random_instance(0, "rank_deficient")
     built = counted_calls(monkeypatch, PerturbationMatrix, "__post_init__")
     reduced = counted_calls(monkeypatch, eakf.linalg, "_r_svd")
@@ -314,7 +314,7 @@ ENTRIES = pytest.mark.parametrize(
 )
 
 
-@ENTRIES
+@pytest.mark.parametrize("run", [kalman_gain], ids=["kalman_gain"])
 def test_the_svd_error_comes_before_the_projection_error(monkeypatch, run):
     # with both failing (svd_full, and an H of the wrong width), the error is svd_full's
     def failing(z):
@@ -325,6 +325,18 @@ def test_the_svd_error_comes_before_the_projection_error(monkeypatch, run):
     obs = ObservationModel(np.ones((2, 5)), [1.0, 1.0], [0.0, 0.0])
     with pytest.raises(ValueError, match="^svd_full: forced failure$"):
         run(ens, obs)
+
+
+@pytest.mark.parametrize("run", [analyze, misordered_analysis], ids=["analyze", "misordered_analysis"])
+def test_a_wrong_width_h_is_refused_before_z_is_factored(monkeypatch, run):
+    # H x_f comes first, so an H of the wrong width is refused with its own
+    # message and svd_full is never called
+    factored = counted_calls(monkeypatch, eakf.update, "svd_full")
+    ens = ForecastEnsemble(np.ones((4, 3)))
+    obs = ObservationModel(np.ones((2, 5)), [1.0, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="^observation operator has 5 state columns, expected 4$"):
+        run(ens, obs)
+    assert not factored
 
 
 def test_a_projection_error_reaches_the_caller():
@@ -346,11 +358,8 @@ def test_the_callers_errstate_holds(run):
         run(ens, obs)
 
 
-@pytest.mark.parametrize("run", [analyze, kalman_gain], ids=["analyze", "kalman_gain"])
-def test_y_is_whitened_first_on_the_callers_thread(monkeypatch, run):
-    # H Z is whitened into Y before the innovation (analyze) or the gain's
-    # right-hand sides (kalman_gain), and both on the thread that called
-    ens, obs = dense_problem(30, 8, 12)
+def _recorded_whitenings(monkeypatch):
+    """The list each ``ObservationModel.whiten`` call appends its thread and the shape it whitens to."""
     calls, whiten = [], ObservationModel.whiten
 
     def counted(self, a, *args, **kwargs):
@@ -358,8 +367,26 @@ def test_y_is_whitened_first_on_the_callers_thread(monkeypatch, run):
         return whiten(self, a, *args, **kwargs)
 
     monkeypatch.setattr(ObservationModel, "whiten", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [kalman_gain], ids=["kalman_gain"])
+def test_y_is_whitened_first_on_the_callers_thread(monkeypatch, run):
+    # H Z is whitened into Y before the gain's right-hand sides, and both on
+    # the thread that called
+    ens, obs = dense_problem(30, 8, 12)
+    calls = _recorded_whitenings(monkeypatch)
     run(ens, obs)
     assert len(calls) == 2 and calls[0][1] == (12, 8) and calls[1][1] != (12, 8)
+    assert all(thread is threading.current_thread() for thread, _ in calls)
+
+
+def test_both_whitenings_of_an_analysis_run_on_the_callers_thread(monkeypatch):
+    # the innovation (p,) and H Z (p, m), each whitened once, on the thread that called
+    ens, obs = dense_problem(30, 8, 12)
+    calls = _recorded_whitenings(monkeypatch)
+    analyze(ens, obs)
+    assert sorted(shape for _, shape in calls) == [(12,), (12, 8)]
     assert all(thread is threading.current_thread() for thread, _ in calls)
 
 
@@ -453,27 +480,27 @@ def _rank_two():
     return rng.standard_normal((6, 2)) @ rng.standard_normal((2, 10))
 
 
-# name: (members, index, variance, whether Z's singular values are distinct)
+# name: (members, variance, whether Z's singular values are distinct); H is np.arange(n)
 PERMUTED_CASES = {
-    "arange": (np.random.default_rng(1).standard_normal((6, 8)), np.arange(6), 0.7, True),
-    "shuffled": (np.random.default_rng(2).standard_normal((7, 5)), np.random.default_rng(3).permutation(7), 3.0, True),
-    "twin-default": (np.random.default_rng(4).standard_normal((3, 12)), np.arange(3), 1.0, True),
-    "more-variables-than-members": (np.random.default_rng(5).standard_normal((40, 12)), np.random.default_rng(6).permutation(40), 1e-2, True),
-    "zero-spread": (np.repeat(np.random.default_rng(8).standard_normal((4, 1)), 5, axis=1), np.arange(4), 2.0, True),
-    "duplicated-member": (_duplicated_member(), np.arange(5)[::-1], 0.3, True),
-    "repeated-singular-values": (_repeated_singular_values(), np.array([2, 0, 1]), 1.5, False),
-    "wide": (np.random.default_rng(14).standard_normal((3, 9)), np.array([1, 2, 0]), 0.4, True),
-    "one-variable": (np.random.default_rng(15).standard_normal((1, 5)), np.arange(1), 2.5, True),
-    "rank-below-n": (_rank_two(), np.random.default_rng(16).permutation(6), 0.8, True),
+    "arange": (np.random.default_rng(1).standard_normal((6, 8)), 0.7, True),
+    "shuffled": (np.random.default_rng(2).standard_normal((7, 5)), 3.0, True),
+    "twin-default": (np.random.default_rng(4).standard_normal((3, 12)), 1.0, True),
+    "more-variables-than-members": (np.random.default_rng(5).standard_normal((40, 12)), 1e-2, True),
+    "zero-spread": (np.repeat(np.random.default_rng(8).standard_normal((4, 1)), 5, axis=1), 2.0, True),
+    "duplicated-member": (_duplicated_member(), 0.3, True),
+    "repeated-singular-values": (_repeated_singular_values(), 1.5, False),
+    "wide": (np.random.default_rng(14).standard_normal((3, 9)), 0.4, True),
+    "one-variable": (np.random.default_rng(15).standard_normal((1, 5)), 2.5, True),
+    "rank-below-n": (_rank_two(), 0.8, True),
 }
 
 
 @pytest.mark.parametrize("case", PERMUTED_CASES, ids=list(PERMUTED_CASES))
 def test_permutation_matches_the_general_path(monkeypatch, case):
-    members, index, variance, distinct = PERMUTED_CASES[case]
+    members, variance, distinct = PERMUTED_CASES[case]
     n = members.shape[0]
     ens, y = ForecastEnsemble(members), np.random.default_rng(9).standard_normal(n)
-    obs = ObservationModel(index, np.full(n, variance), y)
+    obs = ObservationModel(np.arange(n), np.full(n, variance), y)
     general = analyze(ens, _one_hot(obs, n))
     general_gain = kalman_gain(ens, _one_hot(obs, n))
     eigs = counted_calls(monkeypatch, eakf.update, "ordered_eig_psd")
@@ -500,6 +527,7 @@ INELIGIBLE = {
     "repeated-index": (np.array([0, 1, 1, 3]), np.ones(4)),
     "dense-one-hot-H": (np.eye(4)[[3, 1, 0, 2]], np.ones(4)),
     "dense-R": (np.arange(4), np.eye(4)),
+    "shuffled-permutation": (np.array([2, 0, 3, 1]), np.ones(4)),
 }
 
 
@@ -524,7 +552,7 @@ def test_an_index_past_the_state_keeps_its_error_when_p_equals_n():
 
 @pytest.mark.parametrize("covariance", [np.ones(2), np.array([1.0, 2.0])], ids=["one-variance", "two-variances"])
 def test_a_huge_index_keeps_its_error(covariance):
-    # the permutation test must not count indices up to 2**50 (8 PiB)
+    # refused with its own message, with nothing allocated up to 2**50 (8 PiB)
     ens = ForecastEnsemble(np.random.default_rng(12).standard_normal((2, 4)))
     obs = ObservationModel(np.array([0, 2**50]), covariance, np.zeros(2))
     message = f"^observation operator index {2**50} out of range for state dimension 2$"
@@ -545,7 +573,7 @@ def test_permuted_analysis_does_not_depend_on_the_lapack_signs(monkeypatch):
     # negated, the innovation column included, and the SVD of R with any
     # pair negated: neither Za nor the mean may change
     members = [np.random.default_rng(seed).standard_normal((6, 5)) for seed in range(50)]
-    obs = ObservationModel(np.random.default_rng(12).permutation(6), np.full(6, 0.5), np.ones(6))
+    obs = ObservationModel(np.arange(6), np.full(6, 0.5), np.ones(6))
     expected = [analyze(ForecastEnsemble(x), obs) for x in members]
     svd, qr = np.linalg.svd, np.linalg.qr
 
@@ -576,7 +604,7 @@ def test_an_overflowing_innovation_warns_and_fails_loudly(spread):
     # reads it and is refused, without it (k = 0) the mean is the forecast's
     members = np.random.default_rng(18).standard_normal((4, 6)) if spread else np.zeros((4, 6))
     ens = ForecastEnsemble(members * 1e-150)
-    obs = ObservationModel(np.array([2, 0, 3, 1]), np.full(4, 1e-20), np.full(4, 1e300))
+    obs = ObservationModel(np.arange(4), np.full(4, 1e-20), np.full(4, 1e300))
     with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
         if spread:
             with pytest.raises(ValueError, match="^analysis mean or covariance not finite in float64$"):
@@ -600,8 +628,8 @@ def test_the_permutation_path_forms_no_q(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", recorded)
     inst = random_instance(0, "generic")
-    analyze(*permuted(inst))
-    misordered_analysis(*permuted(inst))
+    analyze(*whole_state(inst))
+    misordered_analysis(*whole_state(inst))
     run_twin(TwinConfig(steps=3, n=20, m=8))
     assert modes == ["r"] * 3
 
